@@ -94,10 +94,10 @@ func appByID(recs []transport.AppStatsRecord) map[string]map[string]uint64 {
 }
 
 // dropsOf sums every drop counter of one app scope: local admission
-// (budget, deadline, drain) plus federation ingress refusals.
+// (budget, deadline, drain), pending registrations and federation ingress.
 func dropsOf(c map[string]uint64) uint64 {
 	return c["ingest_budget_drops"] + c["ingest_deadline_drops"] +
-		c["ingest_drain_drops"] + c["federation_event_drops"]
+		c["ingest_drain_drops"] + c["federation_event_drops"] + c["agg_pending_drops"]
 }
 
 // renderTop renders one dashboard frame from two consecutive fleet_stats

@@ -499,7 +499,7 @@ func (w *world) sunk() uint64 {
 		total += st.ForwardBudgetDrops + st.ForwardSendDrops + st.ForwardUnrouted
 	}
 	hst := w.hubRT.Stats()
-	return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops
+	return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops + hst.AggPendingDrops
 }
 
 func (w *world) waitAccounted(what string) error {

@@ -201,7 +201,7 @@ func (w *propWorld) sunk() uint64 {
 		total += st.ForwardBudgetDrops + st.ForwardSendDrops + st.ForwardUnrouted
 	}
 	hst := w.hubRT.Stats()
-	return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops
+	return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops + hst.AggPendingDrops
 }
 
 func (w *propWorld) accepted() uint64 {

@@ -224,7 +224,7 @@ func (w *chaosWorld) sunk() uint64 {
 		total += st.ForwardBudgetDrops + st.ForwardSendDrops + st.ForwardUnrouted
 	}
 	hst := w.hubRT.Stats()
-	return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops
+	return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops + hst.AggPendingDrops
 }
 
 func (w *chaosWorld) accepted() uint64 {

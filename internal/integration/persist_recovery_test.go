@@ -127,7 +127,7 @@ func TestPersistCrashRecoveryRejoin(t *testing.T) {
 		st := e.node.Stats()
 		total += st.ForwardBudgetDrops + st.ForwardSendDrops + st.ForwardUnrouted
 		hst := hubRT.Stats()
-		return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops
+		return total + hst.FederationEventDrops + hst.IngestBudgetDrops + hst.IngestDeadlineDrops + hst.AggPendingDrops
 	}
 	drain := func(what string) {
 		t.Helper()
@@ -140,10 +140,10 @@ func TestPersistCrashRecoveryRejoin(t *testing.T) {
 		}
 		st := e.node.Stats()
 		hst := hubRT.Stats()
-		t.Fatalf("timed out waiting for %s: accepted %d, sunk %d (delivered %d, fwd drops %d/%d/%d, hub drops %d/%d/%d)",
+		t.Fatalf("timed out waiting for %s: accepted %d, sunk %d (delivered %d, fwd drops %d/%d/%d, hub drops %d/%d/%d/%d)",
 			what, accepted, sunk(), agg.delivered.Load(),
 			st.ForwardBudgetDrops, st.ForwardSendDrops, st.ForwardUnrouted,
-			hst.FederationEventDrops, hst.IngestBudgetDrops, hst.IngestDeadlineDrops)
+			hst.FederationEventDrops, hst.IngestBudgetDrops, hst.IngestDeadlineDrops, hst.AggPendingDrops)
 	}
 	// A sync round only counts once SyncPeers completes without error, so
 	// the post-restart round provably reaches the reborn node instead of

@@ -449,13 +449,12 @@ func (r *Registry) Discover(q Query) []Entity {
 		sh := &r.shards[i]
 		sh.mu.Lock()
 		r.sweepShardLocked(sh, now)
-		for id := range candidateIDsLocked(sh, q) {
-			rec := sh.entities[id]
-			if rec == nil || !matchesQuery(&rec.entity, q) {
-				continue
+		eachCandidateLocked(sh, q, func(rec *record) bool {
+			if matchesQuery(&rec.entity, q) {
+				out = append(out, cloneEntity(rec.entity))
 			}
-			out = append(out, cloneEntity(rec.entity))
-		}
+			return true
+		})
 		sh.mu.Unlock()
 	}
 
@@ -482,18 +481,17 @@ func (r *Registry) Scan(q Query, fn func(Entity) bool) {
 		sh := &r.shards[i]
 		sh.mu.Lock()
 		r.sweepShardLocked(sh, now)
-		for id := range candidateIDsLocked(sh, q) {
-			rec := sh.entities[id]
-			if rec == nil || !matchesQuery(&rec.entity, q) {
-				continue
+		more := eachCandidateLocked(sh, q, func(rec *record) bool {
+			if !matchesQuery(&rec.entity, q) {
+				return true
 			}
 			visited++
-			if !fn(rec.entity) || (q.Limit > 0 && visited >= q.Limit) {
-				sh.mu.Unlock()
-				return
-			}
-		}
+			return fn(rec.entity) && (q.Limit <= 0 || visited < q.Limit)
+		})
 		sh.mu.Unlock()
+		if !more {
+			return
+		}
 	}
 }
 
@@ -625,30 +623,32 @@ func (r *Registry) Close() {
 	r.watchCount.Store(0)
 }
 
-func candidateIDsLocked(sh *regShard, q Query) map[ID]struct{} {
-	// Pick the most selective index available: the smallest attribute
-	// posting list, else the kind index, else the shard's full table.
-	var best map[ID]struct{}
+// eachCandidateLocked visits the records of sh that may match q until fn
+// returns false, reporting whether it ran to the end. It walks the smallest
+// index posting covering q — the kind set or an attribute set, nil when
+// the shard holds no match — and the whole entity table only for a query
+// naming neither kind nor attribute. Callers hold sh.mu.
+func eachCandidateLocked(sh *regShard, q Query, fn func(*record) bool) bool {
+	set, indexed := sh.byKind[q.Kind], q.Kind != ""
 	for k, v := range q.Where {
-		set := sh.byAttr[attrKey(k, v)]
-		if best == nil || len(set) < len(best) {
-			best = set
-		}
-		if len(set) == 0 {
-			return nil
+		if s := sh.byAttr[attrKey(k, v)]; !indexed || len(s) < len(set) {
+			set, indexed = s, true
 		}
 	}
-	if best == nil && q.Kind != "" {
-		best = sh.byKind[q.Kind]
-	}
-	if best == nil {
-		all := make(map[ID]struct{}, len(sh.entities))
-		for id := range sh.entities {
-			all[id] = struct{}{}
+	if !indexed {
+		for _, rec := range sh.entities {
+			if !fn(rec) {
+				return false
+			}
 		}
-		return all
+		return true
 	}
-	return best
+	for id := range set {
+		if rec := sh.entities[id]; rec != nil && !fn(rec) {
+			return false
+		}
+	}
+	return true
 }
 
 func matchesQuery(e *Entity, q Query) bool {

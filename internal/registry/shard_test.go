@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -154,5 +155,76 @@ func TestShardCountDefault(t *testing.T) {
 	defer r.Close()
 	if r.ShardCount() != DefaultShards {
 		t.Fatalf("ShardCount = %d, want %d", r.ShardCount(), DefaultShards)
+	}
+}
+
+// discoverBytes reports the heap bytes one Discover(q) allocates, averaged
+// over runs.
+func discoverBytes(r *Registry, q Query, runs int) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		r.Discover(q)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestDiscoverRareKindDoesNotCopyShards: a kind registered in one shard
+// only must cost the same to discover in a small and in a large fleet. A
+// shard without the kind has no candidates; it must not fall back to
+// copying its whole entity table.
+func TestDiscoverRareKindDoesNotCopyShards(t *testing.T) {
+	cost := func(n int) uint64 {
+		r := New()
+		defer r.Close()
+		fill(t, r, n)
+		if err := r.Register(Entity{ID: "panel-city", Kind: "CityPanel"}); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Discover(Query{Kind: "CityPanel"}); len(got) != 1 {
+			t.Fatalf("fleet %d: discovered %d city panels, want 1", n, len(got))
+		}
+		return discoverBytes(r, Query{Kind: "CityPanel"}, 50)
+	}
+	small, large := cost(100), cost(20000)
+	if large > 2*small+1024 {
+		t.Fatalf("Discover of a one-shard kind allocates %d B at 20k entities vs %d B at 100: scales with the fleet", large, small)
+	}
+}
+
+// TestCandidatesPickSmallestPosting: a kind-plus-attribute query walks the
+// smaller of the kind and attribute postings, whichever it is.
+func TestCandidatesPickSmallestPosting(t *testing.T) {
+	r := New(WithShards(1))
+	defer r.Close()
+	// 100 panels; 900 sensors, 100 in lot A22 and 200 in each other lot.
+	fill(t, r, 1000)
+	sh := &r.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	candidates := func(q Query) int {
+		n := 0
+		eachCandidateLocked(sh, q, func(*record) bool { n++; return true })
+		return n
+	}
+	for _, tc := range []struct {
+		q    Query
+		want int
+	}{
+		{Query{Kind: "DisplayPanel", Where: Attributes{"parkingLot": "B16"}}, 100},
+		{Query{Kind: "PresenceSensor", Where: Attributes{"parkingLot": "A22"}}, 100},
+		{Query{Kind: "DisplayPanel"}, 100},
+		{Query{Kind: "NoSuchKind"}, 0},
+		{Query{Kind: "DisplayPanel", Where: Attributes{"parkingLot": "nowhere"}}, 0},
+		{Query{Where: Attributes{"parkingLot": "B16"}}, 200},
+	} {
+		if got := candidates(tc.q); got != tc.want {
+			t.Errorf("%+v: %d candidates, want %d", tc.q, got, tc.want)
+		}
+	}
+	if got := candidates(Query{}); got != 1000 {
+		t.Errorf("empty query visited %d candidates, want the whole table of 1000", got)
 	}
 }

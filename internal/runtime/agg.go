@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -154,10 +155,11 @@ type provAgg struct {
 	core    *aggCore
 	groupOf map[string]string // device id -> group; real devices only
 	// pending holds the latest reading of devices that emitted before
-	// their registration was observed here (a federation event_batch can
-	// outrun the registry delta sync that mirrors its devices); the
-	// watcher's Added delta adopts them into the aggregate. Bounded so a
-	// storm of unregistered senders cannot grow it without limit.
+	// they were registered (a federation event_batch can outrun the
+	// registry delta sync that mirrors its devices); the watcher's Added
+	// delta adopts them into the aggregate. Bounded so a storm of
+	// unregistered senders cannot grow it without limit. No id is both
+	// pending and in groupOf.
 	pending map[string]device.Reading
 }
 
@@ -268,9 +270,10 @@ func (pa *provAgg) applyChanges(batch []registry.Change) {
 }
 
 // trackLocked installs or refreshes one device's group, evicting its old
-// contribution on a group change and adopting a pending reading that
-// arrived before the registration was observed. It reports whether the
-// aggregate changed.
+// contribution on a group change. A pending reading that arrived before
+// the registration is adopted and delivered as its own dispatch, so it is
+// accounted like any other reading. It reports whether the aggregate
+// changed without being dispatched.
 func (pa *provAgg) trackLocked(id, group string) (changed bool) {
 	if old, tracked := pa.groupOf[id]; tracked && old != group && pa.core.eng.Has(id) {
 		// Re-homed: the old contribution is stale; the device re-enters
@@ -282,7 +285,8 @@ func (pa *provAgg) trackLocked(id, group string) (changed bool) {
 	if r, ok := pa.pending[id]; ok {
 		delete(pa.pending, id)
 		pa.core.eng.Upsert(id, group, r.Value)
-		changed = true
+		pa.dispatchLocked(&r, group, r.Time)
+		return false
 	}
 	return changed
 }
@@ -293,7 +297,6 @@ func (pa *provAgg) evictLocked(id string) (changed bool) {
 		return false
 	}
 	delete(pa.groupOf, id)
-	delete(pa.pending, id)
 	if pa.core.eng.Has(id) {
 		pa.core.eng.Remove(id)
 		return true
@@ -329,15 +332,26 @@ func (pa *provAgg) onBatch(b *device.ReadingBatch) {
 func (pa *provAgg) onReadingLocked(r device.Reading) {
 	group, ok := pa.groupOf[r.DeviceID]
 	if !ok {
-		// Registration not (yet) observed: either the device already left
-		// — a stale reading must not resurrect it — or its event outran
-		// the registration (a federation event_batch can land before the
-		// registry delta sync mirrors its device). Park the latest
-		// reading; the watcher's Added delta adopts it.
-		if _, queued := pa.pending[r.DeviceID]; queued || len(pa.pending) < provAggPendingCap {
-			pa.pending[r.DeviceID] = r
+		// Not yet observed by the watcher. The registry may already hold
+		// the device, its Added delta still in flight: take the group from
+		// there. Otherwise either the device already left — a stale
+		// reading must not resurrect it — or its event outran the
+		// registration (a federation event_batch can land before the
+		// registry delta sync mirrors its device): park it. The reading
+		// it supersedes, or r itself once the table is full, is a drop.
+		e, found := pa.rt.reg.Get(registry.ID(r.DeviceID))
+		if !found || !slices.Contains(e.Kinds, pa.kind) {
+			_, queued := pa.pending[r.DeviceID]
+			if queued || len(pa.pending) >= provAggPendingCap {
+				pa.rt.stats.aggPendingDrops.Add(1)
+			}
+			if queued || len(pa.pending) < provAggPendingCap {
+				pa.pending[r.DeviceID] = r
+			}
+			return
 		}
-		return
+		group = e.Attrs[pa.groupAttr]
+		pa.groupOf[r.DeviceID] = group
 	}
 	pa.core.eng.Upsert(r.DeviceID, group, r.Value)
 	pa.dispatchLocked(&r, group, r.Time)

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -549,4 +550,65 @@ func TestProvidedGroupedPendingReadingAdopted(t *testing.T) {
 		got, _ := h.snapshot()
 		return got["za"] == 1
 	})
+}
+
+// deliveryCounter counts deliveries that carry their triggering reading.
+type deliveryCounter struct {
+	*vacancyAggHandler
+	delivered atomic.Uint64
+}
+
+func (h *deliveryCounter) OnTrigger(call *runtime.ContextCall) (any, bool, error) {
+	if call.Reading != nil {
+		h.delivered.Add(1)
+	}
+	return h.vacancyAggHandler.OnTrigger(call)
+}
+
+// TestProvidedGroupedPendingAccounting: readings that outrun their
+// device's registration are parked until it is observed, and each admitted
+// reading ends up either delivered with its Reading or counted as a drop.
+// Two readings of one unregistered device: the second supersedes the first
+// (a drop) and is delivered when the device registers.
+func TestProvidedGroupedPendingAccounting(t *testing.T) {
+	vc := simclock.NewVirtual(epoch)
+	// One ingest shard keeps the batch in order, so the known device's
+	// delivery proves the ghost's readings ahead of it were processed.
+	rt := runtime.New(dsl.MustLoad(providedAggDesign), runtime.WithClock(vc),
+		runtime.WithIngestConfig(runtime.IngestConfig{Shards: 1}))
+	defer rt.Stop()
+	h := &deliveryCounter{vacancyAggHandler: &vacancyAggHandler{}}
+	if err := rt.ImplementContext("Occupancy", h); err != nil {
+		t.Fatal(err)
+	}
+	bind := func(id, zone string) {
+		if err := rt.BindDevice(device.NewBase(id, "S", nil, registry.Attributes{"zone": zone}, vc.Now)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bind("known", "za")
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	reading := func(id string) device.Reading {
+		return device.Reading{DeviceID: id, Source: "presence", Value: false, Time: vc.Now()}
+	}
+	admitted := uint64(rt.RemoteIngest("S", "presence", []device.Reading{
+		reading("ghost"), reading("ghost"), reading("known"),
+	}))
+	if admitted != 3 {
+		t.Fatalf("admitted %d of 3", admitted)
+	}
+	waitFor(t, "known device's delivery", func() bool { return h.delivered.Load() >= 1 })
+
+	bind("ghost", "zb")
+	waitFor(t, "ghost adopted into its zone", func() bool {
+		got, _ := h.snapshot()
+		return got["zb"] == 1
+	})
+	st := rt.Stats()
+	dropped := st.AggPendingDrops + st.FederationEventDrops + st.IngestBudgetDrops + st.IngestDeadlineDrops
+	if got := h.delivered.Load(); got+dropped != admitted || dropped != 1 {
+		t.Fatalf("delivered %d + dropped %d, want %d admitted with 1 superseded drop", got, dropped, admitted)
+	}
 }

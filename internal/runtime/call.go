@@ -39,14 +39,19 @@ type ContextCall struct {
 	// Value is the triggering context value for context-to-context
 	// deliveries; nil otherwise.
 	Value any
-	// Readings holds one periodic round of ungrouped readings.
+	// Readings holds one periodic round of ungrouped readings. The slice
+	// is fresh per delivery and owned by the handler.
 	Readings []device.Reading
 	// Grouped holds the delivery grouped by the `grouped by` attribute
-	// (raw values per group), when no MapReduce is declared. For
-	// incrementally aggregated interactions (grouped periodic rounds
-	// without an `every` window, and grouped device-source events) the
-	// map is the engine's continuously maintained state: it is valid only
-	// for the duration of the call and must be copied to be retained.
+	// (raw values per group), when no MapReduce is declared. An `every`
+	// window delivers each group's values in round order (within a
+	// round, in device-ID order); the map and its slices are fresh per
+	// window and owned by the handler, which may retain them — later
+	// windows never write into them. For incrementally aggregated
+	// interactions (grouped periodic rounds without an `every` window,
+	// and grouped device-source events) the map is instead the engine's
+	// continuously maintained state: it is valid only for the duration
+	// of the call and must be copied to be retained.
 	Grouped map[string][]any
 	// GroupedReduced holds the MapReduce output per group for
 	// `with map … reduce …` interactions (paper Figure 10's

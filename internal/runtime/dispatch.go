@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,16 +20,14 @@ import (
 	"repro/internal/transport"
 )
 
-// GroupedReading is one periodic reading tagged with the value of the
-// `grouped by` attribute of its producing device.
-type GroupedReading struct {
-	Group   string
-	Reading device.Reading
-}
-
-// periodicBatch is the payload delivered for one periodic interaction round.
+// periodicBatch is the payload delivered for one ungrouped periodic round
+// (readings) or one grouped window (groups and their value columns, index
+// for index). Both are freshly allocated per delivery and handed off to the
+// handler, which may retain them.
 type periodicBatch struct {
-	readings []GroupedReading
+	readings []device.Reading
+	groups   []string
+	cols     [][]any
 	at       time.Time
 }
 
@@ -174,9 +173,9 @@ func (cs *provCallSite) fillCall() {
 // poller drives one `when periodic` interaction. Steady-state work is
 // proportional to fleet size only in queries issued, not in bookkeeping: the
 // fleet snapshot is cached across ticks (keyed on the registry's kind
-// generation), drivers are resolved at snapshot-rebuild time, queries run on
-// a persistent worker pool, and the out/ok/readings buffers are reused
-// across rounds.
+// generation), device IDs, drivers and group indices are resolved at
+// snapshot-rebuild time, queries run on a persistent worker pool, and the
+// per-slot value/ok columns are reused across rounds.
 type poller struct {
 	rt       *Runtime
 	ctx      *check.Context
@@ -185,9 +184,10 @@ type poller struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 
-	// Every-window accumulation.
-	window     []GroupedReading
-	ticksInWin int
+	// Grouped batch rounds accumulate into win, which flushes every
+	// flushEvery ticks: the `every` window's length, or 1 for a grouped
+	// interaction aggregated round by round in batch.
+	win        window
 	flushEvery int
 
 	// snap is the cached fleet snapshot; only the poller goroutine reads
@@ -198,15 +198,13 @@ type poller struct {
 	// window): the poll loop diffs each round's readings against the
 	// per-slot last-value cache below and publishes only the deltas; the
 	// dispatch side folds them into the interaction's engine (core). The
-	// cache is keyed to the snapshot epoch — a rebuild (fleet change)
-	// invalidates it and the next delta resets the engine and re-feeds
-	// the full round.
-	aggOn     bool
-	prevVals  []any
-	prevOk    []bool
-	snapEpoch uint64
-	prevEpoch uint64   // epoch prevVals/prevOk describe; differs => reset
-	core      *aggCore // owned by the dispatch (bus-handler) side
+	// cache describes prevSnap — a rebuild (fleet change) invalidates it
+	// and the next delta resets the engine and re-feeds the full round.
+	aggOn    bool
+	prevVals []any
+	prevOk   []bool
+	prevSnap *pollSnapshot
+	core     *aggCore // owned by the dispatch (bus-handler) side
 
 	// Persistent query pool: up to workers goroutines block on rounds and
 	// work-steal targets through the round's cursors. The pool grows
@@ -217,14 +215,11 @@ type poller struct {
 	rounds  chan *pollRound
 
 	// Scratch reused across rebuilds/rounds; poller goroutine only,
-	// except out/ok which the pool workers fill during a round.
+	// except vals/ok which the pool workers fill during a round. Nothing
+	// published to the bus aliases them.
 	scanBuf []scanItem
-	outBuf  []GroupedReading
-	okBuf   []bool
-
-	// readingsPool recycles the per-round readings slice once dispatch
-	// has consumed the batch.
-	readingsPool sync.Pool
+	vals    []any
+	ok      []bool
 }
 
 func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interaction) {
@@ -235,26 +230,29 @@ func (rt *Runtime) startPoller(ctx *check.Context, idx int, in *check.Interactio
 		idx:     idx,
 		stopCh:  make(chan struct{}),
 		workers: rt.pollWorkers,
-	}
-	if in.Every > 0 {
-		p.flushEvery = int(in.Every / in.Period)
+		win:     window{col: make(map[string]int)},
 	}
 	// Incremental aggregation applies to grouped interactions polled round
 	// by round; `every` windows concatenate several rounds per delivery
 	// (the same device contributes one value per tick), which is a batch
-	// semantic, so they keep the batch lowering.
-	p.aggOn = in.GroupBy != nil && p.flushEvery == 0 && !rt.batchAgg
+	// semantic, so they keep the batch lowering. The checker guarantees an
+	// `every` window is grouped.
+	switch {
+	case in.Every > 0:
+		p.flushEvery = int(in.Every / in.Period)
+	case in.GroupBy != nil && rt.batchAgg:
+		p.flushEvery = 1
+	case in.GroupBy != nil:
+		p.aggOn = true
+	}
 	// Deliver batches through the bus so handler invocations for this
-	// interaction are serialized like every other delivery. dispatch fully
-	// copies the batch out, so the readings buffer is recycled afterwards.
+	// interaction are serialized like every other delivery.
 	if err := rt.subscribe(rt.periodicTopic(ctx.Name, idx), func(ev eventbus.Event) {
 		switch batch := ev.Payload.(type) {
 		case periodicBatch:
 			p.dispatch(batch)
-			p.putReadings(batch.readings)
 		case aggDelta:
 			p.dispatchDelta(batch)
-			p.putReadings(batch.upserts)
 		}
 	}); err != nil {
 		rt.reportError(ctx.Name, err)
@@ -281,7 +279,13 @@ func (p *poller) run(ticker *simclock.Ticker) {
 	for {
 		select {
 		case <-p.stopCh:
-			p.flushWindow()
+			// Deliver a partially accumulated window, so readings gathered
+			// before Stop are not silently discarded. The bus drains queued
+			// deliveries before closing, which keeps the flush ordered after
+			// every full window already published.
+			if slices.ContainsFunc(p.win.cols, func(col []any) bool { return len(col) > 0 }) {
+				p.publishWindow(p.rt.clock.Now())
+			}
 			return
 		case at := <-ticker.C:
 			p.poll(at)
@@ -289,20 +293,68 @@ func (p *poller) run(ticker *simclock.Ticker) {
 	}
 }
 
-// flushWindow delivers a partially accumulated `every` window at shutdown,
-// so readings gathered before Stop are not silently discarded. The bus
-// drains queued deliveries before closing, which keeps the flush ordered
-// after every full-window batch already published.
-func (p *poller) flushWindow() {
-	if p.flushEvery == 0 || len(p.window) == 0 {
-		return
+// window accumulates the grouped rounds of one flush period as one value
+// column per group; it stores no device ID, source or time per reading.
+// Columns are sized up front to members × remaining ticks, so a steady
+// fleet never regrows them, and are handed off at flush — never reused —
+// so handlers may retain what they were given.
+type window struct {
+	groups []string
+	cols   [][]any
+	col    map[string]int // group -> index in groups/cols
+	ticks  int
+	// colOf translates snap's group indices to columns; rebuilt when the
+	// snapshot changes mid-window or a new window starts.
+	snap  *pollSnapshot
+	colOf []int
+}
+
+// gather appends one round's answered slots to their group columns.
+func (p *poller) gather(snap *pollSnapshot) {
+	w := &p.win
+	if w.snap != snap {
+		w.snap = snap
+		w.colOf = w.colOf[:0]
+		for g, name := range snap.groups {
+			c, ok := w.col[name]
+			if !ok {
+				c = len(w.cols)
+				w.col[name] = c
+				w.groups = append(w.groups, name)
+				w.cols = append(w.cols, make([]any, 0, snap.members[g]*(p.flushEvery-w.ticks)))
+			}
+			w.colOf = append(w.colOf, c)
+		}
 	}
-	batch := periodicBatch{readings: p.window, at: p.rt.clock.Now()}
-	p.window = nil
-	p.ticksInWin = 0
-	if err := p.rt.bus.Publish(p.rt.periodicTopic(p.ctx.Name, p.idx), batch, batch.at); err != nil {
-		p.putReadings(batch.readings)
+	for slot, good := range p.ok[:snap.total] {
+		if good {
+			c := w.colOf[snap.groupOf[slot]]
+			w.cols[c] = append(w.cols[c], p.vals[slot])
+		}
 	}
+	w.ticks++
+}
+
+// publishWindow hands the window's non-empty columns to the bus and starts
+// a fresh window.
+func (p *poller) publishWindow(at time.Time) {
+	w := &p.win
+	batch := periodicBatch{at: at}
+	for c, col := range w.cols {
+		if len(col) > 0 {
+			batch.groups = append(batch.groups, w.groups[c])
+			batch.cols = append(batch.cols, col)
+		}
+	}
+	w.groups, w.cols, w.ticks, w.snap = nil, nil, 0, nil
+	clear(w.col)
+	p.publish(batch, at)
+}
+
+func (p *poller) publish(payload any, at time.Time) {
+	// Publish fails only once the bus is closed, when there is no one
+	// left to deliver to.
+	_ = p.rt.bus.Publish(p.rt.periodicTopic(p.ctx.Name, p.idx), payload, at)
 }
 
 // scanItem is what one registry-scan visit captures during a snapshot
@@ -317,8 +369,7 @@ type scanItem struct {
 // and, when the driver supports it, its pre-resolved query function —
 // already in hand so a steady-state tick touches no runtime lock.
 type pollTarget struct {
-	id    string
-	group string
+	slot  uint32
 	drv   device.Driver
 	query device.QueryFunc // fast path via device.SnapshotQuerier; may be nil
 }
@@ -329,20 +380,25 @@ type endpointBatch struct {
 	client   *transport.Client
 	endpoint string
 	ids      []string
-	groups   []string
-	base     int // first slot of this batch in the round's out/ok buffers
+	slots    []uint32 // slot of each of ids
 }
 
 // pollSnapshot is the cached fleet of one periodic interaction, valid while
-// the registry generation for the trigger kind stays at gen.
+// the registry generation for the trigger kind stays at gen. Slots number
+// the fleet in device-ID order; everything per slot is resolved once per
+// rebuild. A slot whose endpoint could not be dialed is never answered.
 type pollSnapshot struct {
 	gen     uint64
 	locals  []pollTarget
 	remotes []endpointBatch
 	total   int
-	// ids maps round slots back to device IDs; filled only for
-	// incrementally aggregated interactions (removal deltas name devices).
+	// ids maps slots to device IDs.
 	ids []string
+	// Grouped interactions only: the interned `grouped by` values, each
+	// slot's index into groups, and each group's slot count.
+	groups  []string
+	groupOf []uint32
+	members []int
 	// incomplete marks a snapshot missing targets whose endpoint could
 	// not be dialed; the next tick rebuilds (and so redials) even with an
 	// unchanged generation, matching the old per-round retry behavior.
@@ -350,12 +406,12 @@ type pollSnapshot struct {
 }
 
 // poll queries every bound device of the trigger kind through the worker
-// pool and either delivers the batch immediately or accumulates it into the
-// `every` window. With an unchanged fleet this performs no registry scan, no
-// sort and no target allocation — the generation check is the only registry
+// pool and either delivers the round immediately or accumulates it into the
+// window. With an unchanged fleet this performs no registry scan, no sort
+// and no target allocation — the generation check is the only registry
 // interaction. Incrementally aggregated interactions publish the round's
-// per-slot diff (changed readings + dropped-out devices) instead of the
-// full batch.
+// per-slot diff (changed values + dropped-out slots) instead of the full
+// round.
 func (p *poller) poll(at time.Time) {
 	gen := p.rt.reg.Generation(p.in.TriggerDevice.Name)
 	if p.snap == nil || p.snap.gen != gen || p.snap.incomplete {
@@ -363,69 +419,48 @@ func (p *poller) poll(at time.Time) {
 	}
 	snap := p.snap
 
-	if snap.total > 0 && !p.runRound(at, snap) {
+	if snap.total > 0 && !p.runRound(snap) {
 		return // stopped mid-round
 	}
 	p.rt.stats.periodicPolls.Add(1)
 
-	if p.aggOn {
+	switch {
+	case p.aggOn:
 		p.publishDelta(at, snap)
-		return
-	}
-
-	var readings []GroupedReading
-	if snap.total > 0 {
-		out := p.outBuf[:snap.total]
-		kept := p.getReadings()
-		if cap(kept) < snap.total {
-			kept = make([]GroupedReading, 0, snap.total)
+	case p.flushEvery > 0:
+		p.gather(snap)
+		if p.win.ticks == p.flushEvery {
+			p.publishWindow(at)
 		}
-		for i, good := range p.okBuf[:snap.total] {
-			if good {
-				kept = append(kept, out[i])
-			}
-		}
-		readings = kept
-	}
-
-	if p.flushEvery > 0 {
-		p.window = append(p.window, readings...)
-		p.putReadings(readings) // copied into the window; recycle now
-		p.ticksInWin++
-		if p.ticksInWin < p.flushEvery {
-			return
-		}
-		readings = p.window
-		p.window = nil
-		p.ticksInWin = 0
-	}
-	batch := periodicBatch{readings: readings, at: at}
-	if err := p.rt.bus.Publish(p.rt.periodicTopic(p.ctx.Name, p.idx), batch, at); err != nil {
-		p.putReadings(readings)
-		return
+	default:
+		p.publish(periodicBatch{readings: p.readings(snap, at), at: at}, at)
 	}
 }
 
+// readings materializes an ungrouped round in one pass, sized to the fleet.
+func (p *poller) readings(snap *pollSnapshot, at time.Time) []device.Reading {
+	rs := make([]device.Reading, 0, snap.total)
+	for slot, good := range p.ok[:snap.total] {
+		if good {
+			rs = append(rs, device.Reading{DeviceID: snap.ids[slot], Source: p.in.TriggerSource.Name, Value: p.vals[slot], Time: at})
+		}
+	}
+	return rs
+}
+
 // runRound executes one query round over the snapshot through the worker
-// pool, filling p.outBuf/p.okBuf per slot. It reports false when the poller
+// pool, filling p.vals/p.ok per slot. It reports false when the poller
 // stopped before the round completed.
-func (p *poller) runRound(at time.Time, snap *pollSnapshot) bool {
-	if cap(p.outBuf) < snap.total {
-		p.outBuf = make([]GroupedReading, snap.total)
-		p.okBuf = make([]bool, snap.total)
-	}
-	out := p.outBuf[:snap.total]
-	ok := p.okBuf[:snap.total]
-	for i := range ok {
-		ok[i] = false
-	}
+func (p *poller) runRound(snap *pollSnapshot) bool {
+	p.vals = slices.Grow(p.vals[:0], snap.total)[:snap.total]
+	p.ok = slices.Grow(p.ok[:0], snap.total)[:snap.total]
+	clear(p.ok)
 	round := &pollRound{
 		p:      p,
 		snap:   snap,
-		at:     at,
 		source: p.in.TriggerSource.Name,
-		out:    out,
-		ok:     ok,
+		vals:   p.vals,
+		ok:     p.ok,
 		done:   make(chan struct{}),
 	}
 	// Hand the round to at most one worker per unit of work (remote
@@ -458,16 +493,23 @@ func (p *poller) runRound(at time.Time, snap *pollSnapshot) bool {
 	return true
 }
 
-// aggDelta is the payload of one incrementally aggregated round: the
-// readings whose value changed since the previous round, the devices that
+// aggDelta is the payload of one incrementally aggregated round, as slots of
+// snap: the values that changed since the previous round, the slots that
 // answered last round but not this one, and whether the dispatch-side
 // engine must reset first (snapshot rebuilt: slots renumbered, fleet
 // membership changed — the whole round rides in upserts).
 type aggDelta struct {
-	upserts  []GroupedReading
-	removals []string
+	snap     *pollSnapshot
+	upserts  []slotValue
+	removals []uint32
 	reset    bool
 	at       time.Time
+}
+
+// slotValue is one snapshot slot's answered value.
+type slotValue struct {
+	slot uint32
+	v    any
 }
 
 // publishDelta diffs the round against the per-slot last-value cache and
@@ -476,92 +518,47 @@ type aggDelta struct {
 // dirty groups) and triggers the handler, preserving one delivery per
 // period.
 func (p *poller) publishDelta(at time.Time, snap *pollSnapshot) {
-	reset := p.prevEpoch != p.snapEpoch
-	if reset {
-		if cap(p.prevVals) < snap.total {
-			p.prevVals = make([]any, snap.total)
-			p.prevOk = make([]bool, snap.total)
-		}
-		p.prevVals = p.prevVals[:snap.total]
-		p.prevOk = p.prevOk[:snap.total]
-		for i := range p.prevOk {
-			p.prevOk[i] = false
-			p.prevVals[i] = nil
-		}
-		p.prevEpoch = p.snapEpoch
+	d := aggDelta{snap: snap, reset: p.prevSnap != snap, at: at}
+	if d.reset {
+		p.prevVals = slices.Grow(p.prevVals[:0], snap.total)[:snap.total]
+		p.prevOk = slices.Grow(p.prevOk[:0], snap.total)[:snap.total]
+		clear(p.prevVals)
+		clear(p.prevOk)
+		p.prevSnap = snap
+		d.upserts = make([]slotValue, 0, snap.total)
 	}
-	ups := p.getReadings()
-	var removals []string
-	out := p.outBuf[:snap.total]
-	ok := p.okBuf[:snap.total]
-	for i := 0; i < snap.total; i++ {
-		if ok[i] {
-			if !p.prevOk[i] || !valuesEqual(p.prevVals[i], out[i].Reading.Value) {
-				ups = append(ups, out[i])
-				p.prevVals[i] = out[i].Reading.Value
+	vals := p.vals[:snap.total]
+	for i, good := range p.ok[:snap.total] {
+		if good {
+			if !p.prevOk[i] || !valuesEqual(p.prevVals[i], vals[i]) {
+				d.upserts = append(d.upserts, slotValue{uint32(i), vals[i]})
+				p.prevVals[i] = vals[i]
 				p.prevOk[i] = true
 			}
 		} else if p.prevOk[i] {
 			// Answered last round, failed this one: its value drops out of
 			// the aggregate until it answers again, matching the batch
 			// path's per-round membership.
-			removals = append(removals, snap.ids[i])
+			d.removals = append(d.removals, uint32(i))
 			p.prevOk[i] = false
 			p.prevVals[i] = nil
 		}
 	}
-	batch := aggDelta{upserts: ups, removals: removals, reset: reset, at: at}
-	if err := p.rt.bus.Publish(p.rt.periodicTopic(p.ctx.Name, p.idx), batch, at); err != nil {
-		p.putReadings(ups)
-	}
+	p.publish(d, at)
 }
 
-// valuesEqual compares two reading values of common scalar types; exotic or
-// non-comparable values report false (treated as changed), which keeps the
+// valuesEqual reports whether two reading values are equal: Go equality
+// for values of one comparable dynamic type (DSL enums generate named
+// `type X string`), instant equality for times. nil and non-comparable
+// values (slices, maps) report false — treated as changed, which keeps the
 // delta path conservative rather than wrong.
 func valuesEqual(a, b any) bool {
-	switch av := a.(type) {
-	case bool:
-		bv, ok := b.(bool)
-		return ok && av == bv
-	case int:
-		bv, ok := b.(int)
-		return ok && av == bv
-	case int64:
-		bv, ok := b.(int64)
-		return ok && av == bv
-	case float64:
-		bv, ok := b.(float64)
-		return ok && av == bv
-	case float32:
-		bv, ok := b.(float32)
-		return ok && av == bv
-	case string:
-		bv, ok := b.(string)
-		return ok && av == bv
-	case uint64:
-		bv, ok := b.(uint64)
-		return ok && av == bv
-	case int32:
-		bv, ok := b.(int32)
-		return ok && av == bv
-	case uint32:
-		bv, ok := b.(uint32)
-		return ok && av == bv
-	case time.Time:
-		bv, ok := b.(time.Time)
-		return ok && av.Equal(bv)
-	default:
-		// Named scalar types (DSL enums generate `type X string`) and
-		// other comparable values fall through here: compare with Go
-		// equality when both sides share a comparable dynamic type.
-		// Non-comparable values (slices, maps) stay "changed".
-		ta, tb := reflect.TypeOf(a), reflect.TypeOf(b)
-		if ta == nil || ta != tb || !ta.Comparable() {
-			return false
-		}
-		return a == b
+	if at, ok := a.(time.Time); ok {
+		bt, ok := b.(time.Time)
+		return ok && at.Equal(bt)
 	}
+	ta := reflect.TypeOf(a)
+	return ta != nil && ta == reflect.TypeOf(b) && ta.Comparable() && a == b
 }
 
 // dispatchDelta folds one round's delta into the interaction's engine and
@@ -580,12 +577,12 @@ func (p *poller) dispatchDelta(d aggDelta) {
 	if d.reset {
 		p.core.reset()
 	}
-	for i := range d.upserts {
-		gr := &d.upserts[i]
-		p.core.eng.Upsert(gr.Reading.DeviceID, gr.Group, gr.Reading.Value)
+	snap := d.snap
+	for _, u := range d.upserts {
+		p.core.eng.Upsert(snap.ids[u.slot], snap.groups[snap.groupOf[u.slot]], u.v)
 	}
-	for _, id := range d.removals {
-		p.core.eng.Remove(id)
+	for _, slot := range d.removals {
+		p.core.eng.Remove(snap.ids[slot])
 	}
 	reduced, grouped := p.core.flush()
 	call := &ContextCall{
@@ -625,20 +622,19 @@ func (p *poller) rebuild(gen uint64) {
 	sort.Slice(items, func(i, j int) bool { return items[i].id < items[j].id })
 	p.scanBuf = items
 
-	snap := &pollSnapshot{gen: gen}
+	snap := &pollSnapshot{gen: gen, total: len(items), ids: make([]string, len(items))}
 	source := p.in.TriggerSource.Name
 	drvs := make([]device.Driver, len(items))
-	ids := make([]string, len(items))
 	for i := range items {
-		ids[i] = items[i].id
+		snap.ids[i] = items[i].id
 	}
-	p.rt.fleet.resolve(ids, drvs)
+	p.rt.fleet.resolve(snap.ids, drvs)
 
 	var remoteIdx map[string]int // endpoint -> snap.remotes index
 	for i := range items {
 		it := &items[i]
 		if drv := drvs[i]; drv != nil {
-			t := pollTarget{id: it.id, group: it.group, drv: drv}
+			t := pollTarget{slot: uint32(i), drv: drv}
 			if sq, ok := drv.(device.SnapshotQuerier); ok {
 				if q, err := sq.Querier(source); err == nil {
 					t.query = q
@@ -664,38 +660,36 @@ func (p *poller) rebuild(gen uint64) {
 		}
 		eb := &snap.remotes[bi]
 		eb.ids = append(eb.ids, it.id)
-		eb.groups = append(eb.groups, it.group)
+		eb.slots = append(eb.slots, uint32(i))
 	}
-	base := len(snap.locals)
-	for i := range snap.remotes {
-		snap.remotes[i].base = base
-		base += len(snap.remotes[i].ids)
-	}
-	snap.total = base
-	if p.aggOn {
-		snap.ids = make([]string, snap.total)
-		for i := range snap.locals {
-			snap.ids[i] = snap.locals[i].id
-		}
-		for i := range snap.remotes {
-			eb := &snap.remotes[i]
-			copy(snap.ids[eb.base:], eb.ids)
+	if p.in.GroupBy != nil {
+		snap.groupOf = make([]uint32, len(items))
+		index := make(map[string]uint32)
+		for i := range items {
+			g, ok := index[items[i].group]
+			if !ok {
+				g = uint32(len(snap.groups))
+				index[items[i].group] = g
+				snap.groups = append(snap.groups, items[i].group)
+				snap.members = append(snap.members, 0)
+			}
+			snap.groupOf[i] = g
+			snap.members[g]++
 		}
 	}
 	p.snap = snap
-	p.snapEpoch++
 	p.rt.stats.pollSnapshotRebuilds.Add(1)
 }
 
 // pollRound is one tick's unit of pool work: workers drain the remote
-// batches, then the local targets, through shared cursors. pending counts
-// outstanding worker hand-offs; the last one closes done.
+// batches, then the local targets, through shared cursors, writing each
+// answered slot's value and ok flag. pending counts outstanding worker
+// hand-offs; the last one closes done.
 type pollRound struct {
 	p      *poller
 	snap   *pollSnapshot
-	at     time.Time
 	source string
-	out    []GroupedReading
+	vals   []any
 	ok     []bool
 
 	localCur  atomic.Int64
@@ -742,19 +736,11 @@ func (r *pollRound) work() {
 			v, err = t.drv.Query(r.source)
 		}
 		if err != nil {
-			r.p.rt.reportError("poll:"+t.id, err)
+			r.p.rt.reportError("poll:"+snap.ids[t.slot], err)
 			continue
 		}
-		r.out[i] = GroupedReading{
-			Group: t.group,
-			Reading: device.Reading{
-				DeviceID: t.id,
-				Source:   r.source,
-				Value:    v,
-				Time:     r.at,
-			},
-		}
-		r.ok[i] = true
+		r.vals[t.slot] = v
+		r.ok[t.slot] = true
 	}
 }
 
@@ -790,78 +776,56 @@ func (r *pollRound) queryBatch(b *endpointBatch) {
 			if j := i - lo; j < len(vals) {
 				v = vals[j]
 			}
-			slot := b.base + i
-			r.out[slot] = GroupedReading{
-				Group: b.groups[i],
-				Reading: device.Reading{
-					DeviceID: b.ids[i],
-					Source:   r.source,
-					Value:    v,
-					Time:     r.at,
-				},
-			}
-			r.ok[slot] = true
+			r.vals[b.slots[i]] = v
+			r.ok[b.slots[i]] = true
 		}
 	}
 }
 
-func (p *poller) getReadings() []GroupedReading {
-	if v := p.readingsPool.Get(); v != nil {
-		return (*v.(*[]GroupedReading))[:0]
-	}
-	return nil
-}
-
-func (p *poller) putReadings(rs []GroupedReading) {
-	if rs == nil {
-		return
-	}
-	rs = rs[:0]
-	p.readingsPool.Put(&rs)
-}
-
-// dispatch runs the context handler for one periodic batch, applying
-// grouping and the MapReduce lowering when declared.
+// dispatch runs the context handler for one periodic batch, applying the
+// MapReduce lowering when declared.
 func (p *poller) dispatch(batch periodicBatch) {
 	call := &ContextCall{
 		ContextName:      p.ctx.Name,
 		Interaction:      p.in,
 		InteractionIndex: p.idx,
+		Readings:         batch.readings,
 		Time:             batch.at,
 		rt:               p.rt,
 	}
-	if p.in.GroupBy == nil {
-		rs := make([]device.Reading, len(batch.readings))
-		for i, gr := range batch.readings {
-			rs[i] = gr.Reading
+	switch {
+	case p.in.MapType != nil: // implies GroupBy
+		call.GroupedReduced = p.runMapReduce(batch)
+	case p.in.GroupBy != nil:
+		call.Grouped = make(map[string][]any, len(batch.groups))
+		for i, g := range batch.groups {
+			call.Grouped[g] = batch.cols[i]
 		}
-		call.Readings = rs
-	} else if p.in.MapType != nil {
-		call.GroupedReduced = p.runMapReduce(batch.readings)
-	} else {
-		grouped := make(map[string][]any)
-		for _, gr := range batch.readings {
-			grouped[gr.Group] = append(grouped[gr.Group], gr.Reading.Value)
-		}
-		call.Grouped = grouped
 	}
 	p.rt.dispatchContext(p.ctx, p.in, call)
 }
 
 // runMapReduce lowers the grouped batch onto the MapReduce engine using the
-// handler's Map and Reduce phases (paper Figure 10). When Reduce emits
-// several values for one key, the last emission wins, matching the paper's
-// one-value-per-group framework contract.
-func (p *poller) runMapReduce(readings []GroupedReading) map[string]any {
+// handler's Map and Reduce phases (paper Figure 10). The input is the
+// window's columns concatenated group by group, each in round order. When
+// Reduce emits several values for one key, the last emission wins, matching
+// the paper's one-value-per-group framework contract.
+func (p *poller) runMapReduce(batch periodicBatch) map[string]any {
 	h := p.rt.contextHandler(p.ctx.Name)
 	mr, ok := h.(MapReducer)
 	if !ok {
 		p.rt.reportError(p.ctx.Name, fmt.Errorf("handler does not implement MapReducer"))
 		return nil
 	}
-	in := make([]mapreduce.Pair[string, any], len(readings))
-	for i, gr := range readings {
-		in[i] = mapreduce.Pair[string, any]{Key: gr.Group, Value: gr.Reading.Value}
+	n := 0
+	for _, col := range batch.cols {
+		n += len(col)
+	}
+	in := make([]mapreduce.Pair[string, any], 0, n)
+	for i, g := range batch.groups {
+		for _, v := range batch.cols[i] {
+			in = append(in, mapreduce.Pair[string, any]{Key: g, Value: v})
+		}
 	}
 	pairs := mapreduce.Run(in,
 		func(k string, v any, emit func(string, any)) { mr.Map(k, v, emit) },

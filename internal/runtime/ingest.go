@@ -544,11 +544,20 @@ func (t *sourceTracker) loop(w *registry.Watcher) {
 }
 
 // trackedCount reports the number of devices currently attached (tests and
-// diagnostics).
+// diagnostics). A reservation whose subscription is still being set up is
+// not counted: a reading its device emits now would find no sink.
 func (t *sourceTracker) trackedCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.subs)
+	n := 0
+	for _, td := range t.subs {
+		td.mu.Lock()
+		if td.cancel != nil && !td.stopped {
+			n++
+		}
+		td.mu.Unlock()
+	}
+	return n
 }
 
 func (t *sourceTracker) add(e registry.Entity) {

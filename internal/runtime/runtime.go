@@ -133,6 +133,11 @@ type Stats struct {
 	// are accounted separately from budget drops so post-drain arrivals
 	// never masquerade as backpressure.
 	IngestDrainDrops uint64
+	// AggPendingDrops counts readings of grouped `when provided`
+	// interactions dropped while waiting for their device's registration:
+	// superseded by the device's next reading, or refused by a full
+	// pending table.
+	AggPendingDrops uint64
 	// TrackerReconciles counts registry rescans forced by overflowed
 	// source-tracker watcher channels during churn storms.
 	TrackerReconciles uint64
@@ -194,6 +199,7 @@ func (s Stats) Counters() map[string]uint64 {
 		"ingest_budget_drops":         s.IngestBudgetDrops,
 		"ingest_deadline_drops":       s.IngestDeadlineDrops,
 		"ingest_drain_drops":          s.IngestDrainDrops,
+		"agg_pending_drops":           s.AggPendingDrops,
 		"tracker_reconciles":          s.TrackerReconciles,
 		"federation_events_in":        s.FederationEventsIn,
 		"federation_event_batches_in": s.FederationEventBatchesIn,
@@ -222,6 +228,7 @@ type statCounters struct {
 	ingestBudgetDrops    atomic.Uint64
 	ingestDeadlineDrops  atomic.Uint64
 	ingestDrainDrops     atomic.Uint64
+	aggPendingDrops      atomic.Uint64
 	trackerReconciles    atomic.Uint64
 	fedEventsIn          atomic.Uint64
 	fedEventBatchesIn    atomic.Uint64
@@ -257,6 +264,7 @@ func (c *statCounters) snapshot() Stats {
 		IngestBudgetDrops:        c.ingestBudgetDrops.Load(),
 		IngestDeadlineDrops:      c.ingestDeadlineDrops.Load(),
 		IngestDrainDrops:         c.ingestDrainDrops.Load(),
+		AggPendingDrops:          c.aggPendingDrops.Load(),
 		TrackerReconciles:        c.trackerReconciles.Load(),
 		FederationEventsIn:       c.fedEventsIn.Load(),
 		FederationEventBatchesIn: c.fedEventBatchesIn.Load(),
