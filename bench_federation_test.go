@@ -74,7 +74,7 @@ func newFedBenchWorld(b *testing.B, sensors, maxBatch int, dialer transport.Dial
 		b.Fatal(err)
 	}
 	b.Cleanup(hubRT.Stop)
-	hub, err := federation.New(federation.Config{Name: "hub", Runtime: hubRT})
+	hub, err := federation.New(federation.Config{Name: "hub", Endpoint: hubRT})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,9 +90,9 @@ func newFedBenchWorld(b *testing.B, sensors, maxBatch int, dialer transport.Dial
 	}
 	b.Cleanup(edgeRT.Stop)
 	edge, err := federation.New(federation.Config{
-		Name:    "edge",
-		Runtime: edgeRT,
-		Exports: []federation.Export{{Kind: "PresenceSensor", Source: "presence"}},
+		Name:     "edge",
+		Endpoint: edgeRT,
+		Exports:  []federation.Export{{Kind: "PresenceSensor", Source: "presence"}},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -316,7 +316,7 @@ func newAggBenchWorld(b *testing.B, sensors int, agg bool) *aggBenchWorld {
 		b.Fatal(err)
 	}
 	b.Cleanup(hubRT.Stop)
-	hub, err := federation.New(federation.Config{Name: "hub", Runtime: hubRT})
+	hub, err := federation.New(federation.Config{Name: "hub", Endpoint: hubRT})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func newAggBenchWorld(b *testing.B, sensors int, agg bool) *aggBenchWorld {
 		export.Aggregate = &federation.Aggregate{GroupAttr: "zone", Handler: &fedVacancy{}}
 	}
 	edge, err := federation.New(federation.Config{
-		Name: "edge", Runtime: edgeRT, Exports: []federation.Export{export},
+		Name: "edge", Endpoint: edgeRT, Exports: []federation.Export{export},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/devsim"
 	"repro/internal/dsl"
-	"repro/internal/persist"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
 )
@@ -21,8 +20,8 @@ import (
 func buildPersistedFleet(b *testing.B, dir string, sensors int) {
 	b.Helper()
 	vc := simclock.NewVirtual(benchEpoch)
-	rt := runtime.New(dsl.MustLoad(fedEdgeDesign), runtime.WithClock(vc),
-		runtime.WithPersistence(dir, persist.Options{}))
+	rt := runtime.New(dsl.MustLoad(fedEdgeDesign),
+		runtime.WithSubstrate(runtime.SubstrateConfig{Clock: vc, PersistDir: dir}))
 	if err := rt.Start(); err != nil {
 		b.Fatal(err)
 	}
@@ -86,8 +85,9 @@ func BenchmarkPersist_Recovery(b *testing.B) {
 				copyPersistDir(b, image, dir)
 				b.StartTimer()
 				rt := runtime.New(dsl.MustLoad(fedEdgeDesign),
-					runtime.WithClock(simclock.NewVirtual(benchEpoch)),
-					runtime.WithPersistence(dir, persist.Options{}))
+					runtime.WithSubstrate(runtime.SubstrateConfig{
+						Clock: simclock.NewVirtual(benchEpoch), PersistDir: dir,
+					}))
 				if err := rt.Start(); err != nil {
 					b.Fatal(err)
 				}

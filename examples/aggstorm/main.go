@@ -2,10 +2,10 @@
 // scale: a population of presence sensors is polled periodically by TWO
 // runtimes over the same simulated fleet and the same virtual clock — one
 // on the delta-aware incremental engine (the default), one forced onto the
-// full batch MapReduce (`runtime.WithBatchAggregation`, the correctness
-// oracle). Between rounds a configurable fraction of the fleet changes
-// state (1%, 10%, 100%), and a slice of the fleet churns out of and back
-// into the registry, forcing snapshot rebuilds and engine resets.
+// full batch MapReduce (`runtime.AppConfig.BatchAggregation`, the
+// correctness oracle). Between rounds a configurable fraction of the fleet
+// changes state (1%, 10%, 100%), and a slice of the fleet churns out of and
+// back into the registry, forcing snapshot rebuilds and engine resets.
 //
 // Every round the scenario cross-checks, exactly:
 //
@@ -144,7 +144,7 @@ func run(sensors, lots, rounds int, churnFrac float64) error {
 		return err
 	}
 	defer inc.rt.Stop()
-	bat, err := newWorld(swarm, vc, runtime.WithBatchAggregation())
+	bat, err := newWorld(swarm, vc, runtime.WithTuning(runtime.AppConfig{BatchAggregation: true}))
 	if err != nil {
 		return err
 	}

@@ -189,9 +189,9 @@ func run(duration time.Duration) error {
 		return err
 	}
 	rt := runtime.New(model, runtime.WithClock(vc),
-		runtime.WithErrorHandler(func(ce runtime.ComponentError) {
+		runtime.WithTuning(runtime.AppConfig{OnError: func(ce runtime.ComponentError) {
 			fmt.Fprintln(os.Stderr, "runtime error:", ce)
-		}))
+		}}))
 	defer rt.Stop()
 	gen.RegisterWireTypes()
 

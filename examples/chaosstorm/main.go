@@ -38,7 +38,6 @@ import (
 	"repro/internal/devsim/chaos"
 	"repro/internal/dsl"
 	"repro/internal/federation"
-	"repro/internal/persist"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
 	"repro/internal/transport"
@@ -175,11 +174,9 @@ func run(sensors, edges, cycles int, churnFrac float64, seed int64, latency, jit
 	if err != nil {
 		return err
 	}
-	rtOpts := []runtime.Option{runtime.WithClock(w.vc)}
-	if metricsAddr != "" {
-		rtOpts = append(rtOpts, runtime.WithMetricsAddr(metricsAddr))
-	}
-	w.hubRT = runtime.New(hubModel, rtOpts...)
+	w.hubRT = runtime.New(hubModel, runtime.WithSubstrate(runtime.SubstrateConfig{
+		Clock: w.vc, MetricsAddr: metricsAddr,
+	}))
 	if err := w.hubRT.ImplementContext("ZoneVacancy", w.agg); err != nil {
 		return err
 	}
@@ -190,7 +187,7 @@ func run(sensors, edges, cycles int, churnFrac float64, seed int64, latency, jit
 	if ma := w.hubRT.MetricsAddr(); ma != "" {
 		fmt.Printf("hub metrics on http://%s/metrics\n", ma)
 	}
-	w.hub, err = federation.New(federation.Config{Name: "hub", Runtime: w.hubRT})
+	w.hub, err = federation.New(federation.Config{Name: "hub", Endpoint: w.hubRT})
 	if err != nil {
 		return err
 	}
@@ -406,13 +403,14 @@ func (w *world) newEdge(name, addr string, sensors int, seed int64) (*edge, erro
 		return nil, err
 	}
 	e := &edge{name: name}
-	e.rt = runtime.New(model, runtime.WithClock(w.vc),
-		runtime.WithPersistence(filepath.Join(w.persistRoot, name), persist.Options{}))
+	e.rt = runtime.New(model, runtime.WithSubstrate(runtime.SubstrateConfig{
+		Clock: w.vc, PersistDir: filepath.Join(w.persistRoot, name),
+	}))
 	if err := e.rt.Start(); err != nil {
 		return nil, err
 	}
 	cfg := federation.Config{
-		Name: name, Runtime: e.rt, ListenAddr: addr,
+		Name: name, Endpoint: e.rt, ListenAddr: addr,
 		Exports: []federation.Export{{Kind: "PresenceSensor", Source: "presence"}},
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; {

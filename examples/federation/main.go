@@ -160,7 +160,7 @@ func run(sensors, edges, panels, rounds, burst int, churnFrac float64, fanoutEve
 	if err := hubRT.Start(); err != nil {
 		return err
 	}
-	hub, err := federation.New(federation.Config{Name: "n0", Runtime: hubRT})
+	hub, err := federation.New(federation.Config{Name: "n0", Endpoint: hubRT})
 	if err != nil {
 		return err
 	}
@@ -308,8 +308,8 @@ func newEdge(name string, sensors, panels int, vc *simclock.Virtual, hubAddr str
 		return nil, err
 	}
 	node, err := federation.New(federation.Config{
-		Name:    name,
-		Runtime: rt,
+		Name:     name,
+		Endpoint: rt,
 		Exports: []federation.Export{
 			{Kind: "PresenceSensor", Source: "presence"},
 			{Kind: "ZonePanel"},

@@ -168,7 +168,7 @@ func TestServeDevicesRemoteBinding(t *testing.T) {
 	// Process B: the orchestrating app, sharing a registry entry that
 	// points at A's endpoint.
 	reg := registry.New(registry.WithClock(vc))
-	app, err := core.NewApp(tinyDesign, runtime.WithClock(vc), runtime.WithRegistry(reg))
+	app, err := core.NewApp(tinyDesign, runtime.WithSubstrate(runtime.SubstrateConfig{Clock: vc, Registry: reg}))
 	if err != nil {
 		t.Fatal(err)
 	}

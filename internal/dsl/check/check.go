@@ -334,6 +334,9 @@ func (c *checker) errf(pos token.Position, format string, args ...any) {
 
 func (c *checker) collectDecls() {
 	seen := make(map[string]token.Position)
+	// structs holds the accepted structure declarations: a redeclared name
+	// (of any kind) is reported and skipped, so it has no Struct to fill.
+	var structs []*ast.StructureDecl
 	for _, decl := range c.design.Decls {
 		name := decl.DeclName()
 		if prev, dup := seen[name]; dup {
@@ -358,6 +361,7 @@ func (c *checker) collectDecls() {
 			c.m.Controllers[d.Name] = &Controller{Name: d.Name, Decl: d}
 		case *ast.StructureDecl:
 			c.m.Structs[d.Name] = &Struct{Name: d.Name}
+			structs = append(structs, d)
 		case *ast.EnumerationDecl:
 			vals := make(map[string]bool, len(d.Values))
 			for _, v := range d.Values {
@@ -371,11 +375,7 @@ func (c *checker) collectDecls() {
 	}
 	// Struct fields may reference other structs/enums, so resolve after
 	// all names are known.
-	for _, decl := range c.design.Decls {
-		s, ok := decl.(*ast.StructureDecl)
-		if !ok {
-			continue
-		}
+	for _, s := range structs {
 		st := c.m.Structs[s.Name]
 		fieldSeen := make(map[string]bool)
 		for _, f := range s.Fields {

@@ -284,6 +284,28 @@ device D { source t as Integer; }
 `, "duplicate declaration of D")
 }
 
+// TestDuplicateDeclarationsAcrossKinds redeclares one name under every
+// ordered pair of declaration kinds. Each pair must be a diagnostic, never a
+// panic: a structure whose name a controller already took used to leave a
+// nil Struct behind for field resolution to dereference.
+func TestDuplicateDeclarationsAcrossKinds(t *testing.T) {
+	decls := map[string]string{
+		"device":      "device X { }",
+		"context":     "context X as Integer { when provided s from D always publish; }",
+		"controller":  "controller X { }",
+		"structure":   "structure X { A as A; }",
+		"enumeration": "enumeration X { A }",
+	}
+	for first, a := range decls {
+		for second, b := range decls {
+			t.Run(first+"/"+second, func(t *testing.T) {
+				loadErr(t, "device D { source s as Integer; }\n"+a+"\n"+b, "duplicate declaration of X")
+			})
+		}
+	}
+	loadErr(t, "controller r{}structure r{A as A;}", "duplicate declaration of r")
+}
+
 func TestDuplicateMembersRejected(t *testing.T) {
 	loadErr(t, `device D { source s as Integer; source s as Float; }`, "repeats source s")
 	loadErr(t, `device D { attribute a as String; attribute a as String; }`, "repeats attribute a")

@@ -130,6 +130,9 @@ type Bus struct {
 	published atomic.Uint64
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
+	// pending counts events queued on any subscription or inside a
+	// handler call (see Pending).
+	pending atomic.Int64
 }
 
 // shard is one independent lock domain of the bus. The subscriber slices in
@@ -335,6 +338,12 @@ func (b *Bus) Stats() Stats {
 	}
 }
 
+// Pending reports how many events are queued on a subscription or still
+// inside a handler call. A handler that publishes does so before its own
+// event stops counting, so Pending reads 0 only once a cascade of
+// deliveries has fully settled.
+func (b *Bus) Pending() int64 { return b.pending.Load() }
+
 // Close cancels every subscription and waits for in-flight handler calls to
 // finish. Further Publish and Subscribe calls return ErrClosed. Close is
 // idempotent.
@@ -429,6 +438,7 @@ func (s *Subscription) stop() {
 func (s *Subscription) pushLocked(ev Event) {
 	s.buf[(s.head+s.count)%len(s.buf)] = ev
 	s.count++
+	s.bus.pending.Add(1)
 	if s.count == 1 {
 		s.notEmpty.Signal()
 	}
@@ -467,6 +477,7 @@ func (s *Subscription) enqueueLocked(ev Event) (outcome enqOutcome, victim any) 
 			s.buf[s.head].Payload = nil
 			s.head = (s.head + 1) % len(s.buf)
 			s.count--
+			s.bus.pending.Add(-1)
 			s.pushLocked(ev)
 			return enqEvicted, victim
 		}
@@ -571,6 +582,7 @@ func (s *Subscription) run(wg *sync.WaitGroup) {
 			// Weight is read before the release: the last release may
 			// recycle the payload.
 			s.bus.delivered.Add(payloadWeight(p))
+			s.bus.pending.Add(-1)
 			releasePayload(p)
 			scratch[i] = Event{}
 		}

@@ -312,6 +312,54 @@ func TestStatsCountsDelivered(t *testing.T) {
 	}
 }
 
+// TestPendingCountsQueuedAndRunningEvents checks Pending across every way
+// an event leaves a queue: handled, evicted by DropOldest, refused by
+// DropNewest.
+func TestPendingCountsQueuedAndRunningEvents(t *testing.T) {
+	b := New()
+	defer b.Close()
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	handler := func(Event) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	for topic, policy := range map[string]Policy{"old": DropOldest, "new": DropNewest} {
+		if _, err := b.Subscribe(topic, handler, WithQueue(2), WithPolicy(policy)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, topic := range []string{"old", "new"} {
+		if err := b.Publish(topic, 0, t0); err != nil {
+			t.Fatal(err)
+		}
+		<-entered // one event is inside the handler
+		for i := 1; i <= 4; i++ {
+			if err := b.Publish(topic, i, t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Per topic: one event in the handler plus a full queue of two.
+	if got := b.Pending(); got != 6 {
+		t.Fatalf("Pending = %d with two blocked handlers and full queues, want 6", got)
+	}
+	close(gate)
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Pending() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("Pending = %d after every delivery, want 0", b.Pending())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := b.Stats(); st.Dropped != 4 {
+		t.Fatalf("Stats.Dropped = %d, want 4", st.Dropped)
+	}
+}
+
 func TestPolicyString(t *testing.T) {
 	for p, want := range map[Policy]string{
 		Block:      "block",

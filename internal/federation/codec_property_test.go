@@ -64,7 +64,7 @@ func runChaosForwardStorm(t *testing.T, consumerOpts ...transport.ServerOption) 
 		t.Fatal(err)
 	}
 	t.Cleanup(crt.Stop)
-	consumer, err := federation.New(federation.Config{Name: "hub", Runtime: crt, ServerOpts: consumerOpts})
+	consumer, err := federation.New(federation.Config{Name: "hub", Endpoint: crt, ServerOpts: consumerOpts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,13 +83,9 @@ type Config struct {
 	// Name identifies the node; mirrors of its entities carry it as
 	// Entity.Origin. Required.
 	Name string
-	// Runtime is the node's orchestration runtime. One of Runtime or
-	// Endpoint is required. The node does not own it: stop the runtime
-	// separately.
-	Runtime *runtime.Runtime
-	// Endpoint generalizes Runtime: any orchestration tier implementing
-	// the Endpoint surface (notably *runtime.Host) can back the node.
-	// When both are set, Endpoint wins.
+	// Endpoint is the node's orchestration tier: a *runtime.Runtime (one
+	// app) or a *runtime.Host (N apps). Required. The node does not own
+	// it: stop the runtime or close the host separately.
 	Endpoint Endpoint
 	// ListenAddr is the transport listen address. Default "127.0.0.1:0".
 	ListenAddr string
@@ -376,10 +372,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	endpoint := cfg.Endpoint
 	if endpoint == nil {
-		if cfg.Runtime == nil {
-			return nil, errors.New("federation: node needs a runtime or endpoint")
-		}
-		endpoint = cfg.Runtime
+		return nil, errors.New("federation: node needs an endpoint")
 	}
 	type exportID struct{ kind, source string }
 	seen := make(map[exportID]struct{}, len(cfg.Exports))

@@ -86,7 +86,7 @@ func newConsumerNode(t *testing.T, name string) (*runtime.Runtime, *federation.N
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Stop)
-	node, err := federation.New(federation.Config{Name: name, Runtime: rt})
+	node, err := federation.New(federation.Config{Name: name, Endpoint: rt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func newOwnerNode(t *testing.T, name string, sensors int) (*runtime.Runtime, *fe
 	}
 	t.Cleanup(rt.Stop)
 	node, err := federation.New(federation.Config{
-		Name:    name,
-		Runtime: rt,
+		Name:     name,
+		Endpoint: rt,
 		Exports: []federation.Export{
 			{Kind: "PresenceSensor", Source: "presence"},
 			{Kind: "ZonePanel"},
@@ -405,8 +405,8 @@ func TestDuplicateExportRejected(t *testing.T) {
 	rt := runtime.New(model, runtime.WithClock(simclock.NewVirtual(epoch)))
 	t.Cleanup(rt.Stop)
 	_, err = federation.New(federation.Config{
-		Name:    "dup",
-		Runtime: rt,
+		Name:     "dup",
+		Endpoint: rt,
 		Exports: []federation.Export{
 			{Kind: "PresenceSensor", Source: "presence"},
 			{Kind: "PresenceSensor", Source: "presence"},
@@ -417,8 +417,8 @@ func TestDuplicateExportRejected(t *testing.T) {
 	}
 	// Same kind with distinct sources is legitimate.
 	node, err := federation.New(federation.Config{
-		Name:    "ok",
-		Runtime: rt,
+		Name:     "ok",
+		Endpoint: rt,
 		Exports: []federation.Export{
 			{Kind: "PresenceSensor", Source: "presence"},
 			{Kind: "PresenceSensor"},
@@ -506,7 +506,7 @@ func TestAggSyncForwardsPartialsNotReadings(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(hubRT.Stop)
-	hub, err := federation.New(federation.Config{Name: "hub", Runtime: hubRT})
+	hub, err := federation.New(federation.Config{Name: "hub", Endpoint: hubRT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,8 +525,8 @@ func TestAggSyncForwardsPartialsNotReadings(t *testing.T) {
 	}
 	t.Cleanup(edgeRT.Stop)
 	edge, err := federation.New(federation.Config{
-		Name:    "edge",
-		Runtime: edgeRT,
+		Name:     "edge",
+		Endpoint: edgeRT,
 		Exports: []federation.Export{{
 			Kind: "PresenceSensor", Source: "presence",
 			Aggregate: &federation.Aggregate{GroupAttr: "zone", Handler: &vacancyAgg{}},
@@ -634,7 +634,7 @@ func TestAggregateExportValidation(t *testing.T) {
 		{Kind: "PresenceSensor", Source: "presence", Aggregate: &federation.Aggregate{GroupAttr: "zone", Handler: nonCombinable{}}},
 	}
 	for i, ex := range cases {
-		n, err := federation.New(federation.Config{Name: "bad", Runtime: rt, Exports: []federation.Export{ex}})
+		n, err := federation.New(federation.Config{Name: "bad", Endpoint: rt, Exports: []federation.Export{ex}})
 		if err == nil {
 			n.Close()
 			t.Fatalf("case %d: invalid Aggregate export accepted", i)
@@ -666,7 +666,7 @@ func TestAggSyncSeedsLateJoiningPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(hubRT.Stop)
-	hub, err := federation.New(federation.Config{Name: "hub", Runtime: hubRT})
+	hub, err := federation.New(federation.Config{Name: "hub", Endpoint: hubRT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,8 +683,8 @@ func TestAggSyncSeedsLateJoiningPeer(t *testing.T) {
 	}
 	t.Cleanup(edgeRT.Stop)
 	edge, err := federation.New(federation.Config{
-		Name:    "edge",
-		Runtime: edgeRT,
+		Name:     "edge",
+		Endpoint: edgeRT,
 		Exports: []federation.Export{{
 			Kind: "PresenceSensor", Source: "presence",
 			Aggregate: &federation.Aggregate{GroupAttr: "zone", Handler: &vacancyAgg{}},
@@ -752,7 +752,7 @@ func TestAggSyncRehomesOnAttributeUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(hubRT.Stop)
-	hub, err := federation.New(federation.Config{Name: "hub", Runtime: hubRT})
+	hub, err := federation.New(federation.Config{Name: "hub", Endpoint: hubRT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -769,8 +769,8 @@ func TestAggSyncRehomesOnAttributeUpdate(t *testing.T) {
 	}
 	t.Cleanup(edgeRT.Stop)
 	edge, err := federation.New(federation.Config{
-		Name:    "edge",
-		Runtime: edgeRT,
+		Name:     "edge",
+		Endpoint: edgeRT,
 		Exports: []federation.Export{{
 			Kind: "PresenceSensor", Source: "presence",
 			Aggregate: &federation.Aggregate{GroupAttr: "zone", Handler: &vacancyAgg{}},

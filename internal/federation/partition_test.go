@@ -215,7 +215,7 @@ func TestPeerRestartResyncsMirrors(t *testing.T) {
 			return nil, nil, err
 		}
 		node, err := federation.New(federation.Config{
-			Name: "edge", Runtime: rt, ListenAddr: addr,
+			Name: "edge", Endpoint: rt, ListenAddr: addr,
 			Exports: []federation.Export{{Kind: "PresenceSensor", Source: "presence"}},
 		})
 		if err != nil {
@@ -302,7 +302,7 @@ func TestAggSyncCatchesUpAfterHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(hubRT.Stop)
-	hub, err := federation.New(federation.Config{Name: "hub", Runtime: hubRT})
+	hub, err := federation.New(federation.Config{Name: "hub", Endpoint: hubRT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +319,8 @@ func TestAggSyncCatchesUpAfterHeal(t *testing.T) {
 	}
 	t.Cleanup(edgeRT.Stop)
 	edge, err := federation.New(federation.Config{
-		Name:    "edge",
-		Runtime: edgeRT,
+		Name:     "edge",
+		Endpoint: edgeRT,
 		Exports: []federation.Export{{
 			Kind: "PresenceSensor", Source: "presence",
 			Aggregate: &federation.Aggregate{GroupAttr: "zone", Handler: &vacancyAgg{}},

@@ -122,7 +122,7 @@ func buildPropWorld(seed int64) (w *propWorld, err error) {
 		return w, err
 	}
 	w.closers = append(w.closers, w.hubRT.Stop)
-	hub, err := federation.New(federation.Config{Name: "hub", Runtime: w.hubRT})
+	hub, err := federation.New(federation.Config{Name: "hub", Endpoint: w.hubRT})
 	if err != nil {
 		return w, err
 	}
@@ -138,7 +138,7 @@ func buildPropWorld(seed int64) (w *propWorld, err error) {
 		}
 		w.closers = append(w.closers, e.rt.Stop)
 		e.node, err = federation.New(federation.Config{
-			Name: e.name, Runtime: e.rt,
+			Name: e.name, Endpoint: e.rt,
 			Exports: []federation.Export{{Kind: "PresenceSensor", Source: "presence"}},
 		})
 		if err != nil {

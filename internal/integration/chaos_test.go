@@ -143,7 +143,7 @@ func newChaosWorld(t *testing.T, seed int64, sensorsPerEdge, edgeCount int) *cha
 		t.Fatal(err)
 	}
 	t.Cleanup(w.hubRT.Stop)
-	hub, err := federation.New(federation.Config{Name: "hub", Runtime: w.hubRT})
+	hub, err := federation.New(federation.Config{Name: "hub", Endpoint: w.hubRT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func newChaosWorld(t *testing.T, seed int64, sensorsPerEdge, edgeCount int) *cha
 		}
 		t.Cleanup(e.rt.Stop)
 		e.node, err = federation.New(federation.Config{
-			Name: e.name, Runtime: e.rt,
+			Name: e.name, Endpoint: e.rt,
 			Exports: []federation.Export{{Kind: "PresenceSensor", Source: "presence"}},
 		})
 		if err != nil {

@@ -276,7 +276,7 @@ func TestDistributedSensorSites(t *testing.T) {
 		}
 	}
 
-	app, err := core.NewApp(lotDesign, runtime.WithClock(vc), runtime.WithRegistry(reg))
+	app, err := core.NewApp(lotDesign, runtime.WithSubstrate(runtime.SubstrateConfig{Clock: vc, Registry: reg}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,13 +43,14 @@ func newPersistEdge(t *testing.T, net *chaos.Net, hub *federation.Node, dir, add
 	// Only sync-round barriers (and crash-free Close) make the WAL durable:
 	// the crash discards everything after the last barrier, which is the
 	// sharpest version of the recovery contract.
-	e.rt = runtime.New(dsl.MustLoad(chaosEdgeDesign), runtime.WithClock(vc),
-		runtime.WithPersistence(dir, persist.Options{FlushInterval: time.Hour}))
+	e.rt = runtime.New(dsl.MustLoad(chaosEdgeDesign), runtime.WithSubstrate(runtime.SubstrateConfig{
+		Clock: vc, PersistDir: dir, PersistOpts: persist.Options{FlushInterval: time.Hour},
+	}))
 	if err := e.rt.Start(); err != nil {
 		t.Fatal(err)
 	}
 	cfg := federation.Config{
-		Name: "edge0", Runtime: e.rt, ListenAddr: addr,
+		Name: "edge0", Endpoint: e.rt, ListenAddr: addr,
 		Exports: []federation.Export{{Kind: "PresenceSensor", Source: "presence"}},
 	}
 	var err error
@@ -101,7 +102,7 @@ func TestPersistCrashRecoveryRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(hubRT.Stop)
-	hub, err := federation.New(federation.Config{Name: "hub", Runtime: hubRT})
+	hub, err := federation.New(federation.Config{Name: "hub", Endpoint: hubRT})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func WithJournal(j Journal) Option {
 
 // SetJournal installs (or replaces) the journal. Mutations committed before
 // the call are not replayed; installing the journal before the first
-// mutation — as runtime.WithPersistence does — captures everything.
+// mutation — as a persistent runtime.Host does — captures everything.
 func (r *Registry) SetJournal(j Journal) {
 	if j == nil {
 		r.journal.Store(nil)

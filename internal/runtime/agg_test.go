@@ -206,11 +206,11 @@ func TestIncrementalPeriodicAggregate(t *testing.T) {
 }
 
 // TestIncrementalMatchesBatchAggregation runs the same scenario through
-// the incremental path and the WithBatchAggregation oracle and asserts
+// the incremental path and the AppConfig.BatchAggregation oracle and asserts
 // identical published aggregates round for round.
 func TestIncrementalMatchesBatchAggregation(t *testing.T) {
 	inc := newAggWorld(t)
-	batch := newAggWorld(t, runtime.WithBatchAggregation())
+	batch := newAggWorld(t, runtime.WithTuning(runtime.AppConfig{BatchAggregation: true}))
 	for _, w := range []*aggWorld{inc, batch} {
 		w.bind(t, "a0", "za", false)
 		w.bind(t, "a1", "za", false)
@@ -494,7 +494,7 @@ context Agg as Integer { when periodic level from S <1 min> grouped by zone ever
 // TestWithPollWorkersConfiguresPool is a smoke test for the configurable
 // poller pool: a single-worker pool still completes rounds correctly.
 func TestWithPollWorkersConfiguresPool(t *testing.T) {
-	w := newAggWorld(t, runtime.WithPollWorkers(1))
+	w := newAggWorld(t, runtime.WithTuning(runtime.AppConfig{PollWorkers: 1}))
 	w.bind(t, "s0", "z0", false)
 	w.bind(t, "s1", "z0", false)
 	w.bind(t, "s2", "z1", true)
@@ -575,7 +575,7 @@ func TestProvidedGroupedPendingAccounting(t *testing.T) {
 	// One ingest shard keeps the batch in order, so the known device's
 	// delivery proves the ghost's readings ahead of it were processed.
 	rt := runtime.New(dsl.MustLoad(providedAggDesign), runtime.WithClock(vc),
-		runtime.WithIngestConfig(runtime.IngestConfig{Shards: 1}))
+		runtime.WithTuning(runtime.AppConfig{Ingest: runtime.IngestConfig{Shards: 1}}))
 	defer rt.Stop()
 	h := &deliveryCounter{vacancyAggHandler: &vacancyAggHandler{}}
 	if err := rt.ImplementContext("Occupancy", h); err != nil {

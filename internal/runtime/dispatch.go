@@ -73,11 +73,8 @@ func (rt *Runtime) wireProvided(ctx *check.Context, idx int, in *check.Interacti
 			return err
 		}
 		onEvent = func(ev eventbus.Event) {
-			switch p := ev.Payload.(type) {
-			case *device.ReadingBatch:
-				pa.onBatch(p)
-			case device.Reading:
-				pa.onReading(p)
+			if b, ok := ev.Payload.(*device.ReadingBatch); ok {
+				pa.onBatch(b)
 			}
 		}
 	}
@@ -121,12 +118,8 @@ type provCallSite struct {
 }
 
 func (cs *provCallSite) onEvent(ev eventbus.Event) {
-	switch p := ev.Payload.(type) {
-	case *device.ReadingBatch:
-		cs.dispatchBatch(p)
-	case device.Reading:
-		cs.scratch = p
-		cs.dispatchScratch()
+	if b, ok := ev.Payload.(*device.ReadingBatch); ok {
+		cs.dispatchBatch(b)
 	}
 }
 
@@ -150,13 +143,6 @@ func (cs *provCallSite) dispatchBatch(b *device.ReadingBatch) {
 		}
 		rt.routePublish(cs.ctx, cs.in, value, want)
 	}
-}
-
-// dispatchScratch dispatches the single reading currently in scratch — the
-// boxed (ablation) payload shape.
-func (cs *provCallSite) dispatchScratch() {
-	cs.fillCall()
-	cs.rt.dispatchContext(cs.ctx, cs.in, &cs.call)
 }
 
 func (cs *provCallSite) fillCall() {

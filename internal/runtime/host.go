@@ -194,11 +194,16 @@ func (h *Host) MetricsAddr() string {
 	return h.metricsSrv.Addr()
 }
 
-// openPersistence mirrors the single-tenant runtime's recovery sequence,
-// with one difference: the store's aggregate-checkpoint source iterates the
-// live app set, and restored blobs are handed to each app at Deploy (keys
+// openPersistence opens (or recovers) the store before any app attaches:
+// restored registrations and generation sums are installed before any
+// component observes the registry, every later mutation is journaled
+// write-ahead, the store's aggregate-checkpoint source iterates the live
+// app set, and restored blobs are handed to each app as it attaches (keys
 // are appID-namespaced, see aggSnapKey).
 func (h *Host) openPersistence(dir string, opts persist.Options) error {
+	// Aggregate checkpoints gob-encode design values of interface type; the
+	// wire codec's basic registrations cover the common shapes. Identical
+	// re-registration is a no-op, so this composes with transport use.
 	transport.RegisterType(time.Time{})
 	transport.RegisterType([]any(nil))
 	transport.RegisterType(map[string]any(nil))
@@ -210,6 +215,9 @@ func (h *Host) openPersistence(dir string, opts persist.Options) error {
 	if rec := store.Recovered(); rec != nil {
 		for _, re := range rec.Entities {
 			if err := h.reg.RestoreEntity(re.Entity, re.LeaseRemaining); err != nil {
+				// Only structurally invalid recovered data fails here; detach
+				// without writing (a clean Close would snapshot the partially
+				// restored registry over the good on-disk state).
 				store.Crash()
 				store.Close()
 				return fmt.Errorf("host: restore entity %s: %w", re.Entity.ID, err)
@@ -256,6 +264,38 @@ func (h *Host) Deploy(appID string, model *check.Model, cfg AppConfig) (*Runtime
 	if model == nil {
 		return nil, fmt.Errorf("host: deploy %s: nil model: %w", appID, ErrCheckFailed)
 	}
+	rt, err := h.attach(appID, model, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := rt.Start(); err != nil {
+		rt.stopApp()
+		h.mu.Lock()
+		delete(h.apps, appID)
+		h.mu.Unlock()
+		return nil, fmt.Errorf("host: deploy %s: %v: %w", appID, err, ErrCheckFailed)
+	}
+	h.mu.Lock()
+	if h.closed {
+		// Close ran between the reservation and here; it skipped the
+		// placeholder, so this app must tear itself down.
+		delete(h.apps, appID)
+		h.mu.Unlock()
+		rt.stopApp()
+		return nil, fmt.Errorf("host: deploy %s: host closing: %w", appID, ErrDraining)
+	}
+	h.apps[appID] = rt
+	h.mu.Unlock()
+	return rt, nil
+}
+
+// attach reserves appID's slot, builds the app's Runtime on the substrate
+// and installs its handlers from cfg. It does not wire the app: Start does.
+// A handler that fails to install is kept in rt.err for Start to report.
+// The slot holds a nil placeholder until the caller publishes rt (or
+// deletes the slot), so a concurrent Deploy of the same ID fails fast while
+// this one wires without holding h.mu.
+func (h *Host) attach(appID string, model *check.Model, cfg AppConfig) (*Runtime, error) {
 	if h.draining.Load() {
 		return nil, fmt.Errorf("host: deploy %s: host draining: %w", appID, ErrDraining)
 	}
@@ -272,69 +312,70 @@ func (h *Host) Deploy(appID string, model *check.Model, cfg AppConfig) (*Runtime
 		h.mu.Unlock()
 		return nil, fmt.Errorf("host: deploy %s: %w", appID, ErrAppExists)
 	}
-	// Reserve the slot with a placeholder so a concurrent Deploy of the
-	// same ID fails fast while this one wires without holding h.mu.
 	h.apps[appID] = nil
 	h.mu.Unlock()
 
-	fail := func(err error) (*Runtime, error) {
-		h.mu.Lock()
-		delete(h.apps, appID)
-		h.mu.Unlock()
-		return nil, err
+	rt := &Runtime{
+		host:        h,
+		model:       model,
+		appID:       appID,
+		clock:       h.clock,
+		reg:         h.reg,
+		bus:         h.bus,
+		fleet:       h.fleet,
+		ingestCfg:   cfg.Ingest,
+		pollWorkers: cfg.PollWorkers,
+		mrCfg:       cfg.MapReduce,
+		batchAgg:    cfg.BatchAggregation,
+		onError:     cfg.OnError,
+		contexts:    make(map[string]ContextHandler),
+		controllers: make(map[string]ControllerHandler),
+		clients:     make(map[string]*transport.Client),
+		ingestByKey: make(map[string][]*ingestor),
+		aggByKey:    make(map[string][]*provAgg),
+		lastValues:  make(map[string]any),
 	}
-
-	rt := newAppRuntime(model)
-	rt.appID = appID
-	rt.topicPrefix = "app/" + appID + "/"
-	rt.clock = h.clock
-	rt.reg = h.reg
-	rt.bus = h.bus
-	rt.fleet = h.fleet
-	rt.store = h.store
-	rt.aggRestore = h.aggRestore
-	rt.ingestCfg = cfg.Ingest
-	rt.pollWorkers = cfg.PollWorkers
-	rt.mrCfg = cfg.MapReduce
-	rt.batchAgg = cfg.BatchAggregation
-	rt.onError = cfg.OnError
+	if appID != "" {
+		rt.topicPrefix = "app/" + appID + "/"
+	}
 	if rt.onError == nil {
 		rt.onError = h.onError
 	}
-	rt.normalize()
+	if rt.pollWorkers <= 0 {
+		// A zero-worker pool would hang the first non-empty round (no
+		// worker ever closes it); fall back to the default instead.
+		rt.pollWorkers = defaultPollWorkers
+	}
+	if rt.mrCfg.KeyHash == nil {
+		// Group keys are rendered attribute values, i.e. strings; skip
+		// the reflective default hash on the periodic hot path.
+		rt.mrCfg.KeyHash = mapreduce.StringKeyHash
+	}
+	rt.handlers.Store(&handlerTables{
+		contexts:    map[string]ContextHandler{},
+		controllers: map[string]ControllerHandler{},
+	})
+	rt.err = rt.install(cfg)
+	return rt, nil
+}
 
+// install installs cfg's handlers, then interpreted ones for the rest when
+// cfg.AutoImplement is set, and returns the first failure.
+func (rt *Runtime) install(cfg AppConfig) error {
 	for name, ch := range cfg.Contexts {
 		if err := rt.ImplementContext(name, ch); err != nil {
-			return fail(fmt.Errorf("host: deploy %s: %v: %w", appID, err, ErrCheckFailed))
+			return err
 		}
 	}
 	for name, ch := range cfg.Controllers {
 		if err := rt.ImplementController(name, ch); err != nil {
-			return fail(fmt.Errorf("host: deploy %s: %v: %w", appID, err, ErrCheckFailed))
+			return err
 		}
 	}
 	if cfg.AutoImplement {
-		if err := rt.autoImplement(model); err != nil {
-			return fail(fmt.Errorf("host: deploy %s: %v: %w", appID, err, ErrCheckFailed))
-		}
+		return rt.autoImplement(rt.model)
 	}
-	if err := rt.Start(); err != nil {
-		rt.Stop()
-		return fail(fmt.Errorf("host: deploy %s: %v: %w", appID, err, ErrCheckFailed))
-	}
-
-	h.mu.Lock()
-	if h.closed {
-		// Close ran between the reservation and here; it skipped the
-		// placeholder, so this app must tear itself down.
-		delete(h.apps, appID)
-		h.mu.Unlock()
-		rt.Stop()
-		return nil, fmt.Errorf("host: deploy %s: host closing: %w", appID, ErrDraining)
-	}
-	h.apps[appID] = rt
-	h.mu.Unlock()
-	return rt, nil
+	return nil
 }
 
 // DeploySource parses + checks a .diaspec design source and deploys it —
@@ -362,7 +403,7 @@ func (h *Host) Undeploy(appID string) error {
 	delete(h.apps, appID)
 	h.undeploys[appID] = true
 	h.mu.Unlock()
-	rt.Stop()
+	rt.stopApp()
 	h.mu.Lock()
 	delete(h.undeploys, appID)
 	h.mu.Unlock()
@@ -418,14 +459,19 @@ func (h *Host) Clock() simclock.Clock { return h.clock }
 
 // BindDevice binds a driver into the shared fleet, validating it against
 // the deployed app designs: some app must declare the device kind (its
-// declaration supplies the kind taxonomy, exactly as in single-tenant
-// BindDevice). One binding serves every tenant — that is the "N apps, one
-// fleet" model.
+// declaration supplies the kind taxonomy, exactly as in Runtime.BindDevice).
+// One binding serves every tenant — that is the "N apps, one fleet" model.
 func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 	decl := h.kindDecl(drv.Kind())
 	if decl == nil {
 		return fmt.Errorf("host: device kind %s not declared by any deployed app", drv.Kind())
 	}
+	return h.bind(decl, drv, opts)
+}
+
+// bind validates drv's attributes against its kind declaration, installs
+// the driver and registers it for discovery.
+func (h *Host) bind(decl *check.Device, drv device.Driver, opts []BindOption) error {
 	for name := range drv.Attributes() {
 		if _, ok := decl.Attributes[name]; !ok {
 			return fmt.Errorf("host: device %s has undeclared attribute %s", drv.ID(), name)
@@ -440,6 +486,11 @@ func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 			return fmt.Errorf("host: bind device %s: %w", drv.ID(), err)
 		}
 	}
+	// The driver is installed before Register so that watchers reacting to
+	// the Added notification resolve it locally — but rolled back if the
+	// registration fails, so a failed re-bind never leaves the device table
+	// disagreeing with the registry (poll snapshots cache resolved drivers
+	// and rebuild only on registry change).
 	prev, had := h.fleet.install(drv)
 	entity := registry.Entity{
 		ID:    registry.ID(drv.ID()),
@@ -454,12 +505,21 @@ func (h *Host) BindDevice(drv device.Driver, opts ...BindOption) error {
 	}
 	register := h.reg.Register
 	if h.store != nil {
+		// A reborn node re-binds drivers for registrations recovered from
+		// disk: Reclaim re-attaches without a duplicate error — and without
+		// bumping generations when the content is unchanged, so federation
+		// peers see no delta from a clean restart.
 		register = h.reg.Reclaim
 	}
 	if err := register(entity, ropts...); err != nil {
 		h.fleet.rollback(drv.ID(), prev, had)
 		return fmt.Errorf("host: bind device %s: %w", drv.ID(), err)
 	}
+	// Re-assert the driver entry now that the entity is registered: the
+	// lease janitor reaps entries whose ID is absent from the registry, so
+	// a reap that raced the window between the optimistic install above
+	// and Register must not win (reapExpired checks the registry under the
+	// same lock hold, making this store the tiebreaker).
 	h.fleet.reassert(drv)
 	return nil
 }
@@ -479,8 +539,11 @@ func (h *Host) kindDecl(kind string) *check.Device {
 	return nil
 }
 
-// ensureLeaseJanitor mirrors the single-tenant janitor on the host's fleet
-// table: expired leases release their driver slots for all tenants at once.
+// ensureLeaseJanitor lazily starts the watcher that reaps device-table
+// entries of expired leased bindings, so a device that stops renewing
+// releases its driver slot (for all tenants at once) like an explicit
+// UnbindDevice would. Started on the first leased bind only: lease-free
+// populations keep their watcher-free register fast path.
 func (h *Host) ensureLeaseJanitor() error {
 	h.mu.Lock()
 	if h.janitorOn || h.closed {
@@ -507,6 +570,10 @@ func (h *Host) ensureLeaseJanitor() error {
 			if c.Type == registry.Expired {
 				h.fleet.reapExpired(string(c.Entity.ID), h.reg)
 			}
+			// The janitor watches every registry change, so a churn or
+			// bind storm can overflow its channel; like the source
+			// trackers, repair by re-checking every driver entry
+			// against the registry.
 			if m := w.Missed(); m != lastMissed {
 				lastMissed = m
 				for _, id := range h.fleet.ids() {
@@ -658,7 +725,7 @@ func (h *Host) Close() {
 	h.watchers = nil
 	h.mu.Unlock()
 	for _, rt := range apps {
-		rt.Stop()
+		rt.stopApp()
 	}
 	for _, w := range watchers {
 		w.Cancel()
@@ -740,60 +807,4 @@ func (a hostAdmin) AppStats() []transport.AppStatsRecord {
 		recs = append(recs, transport.AppStatsRecord{App: name, Counters: st.Gauges[name]})
 	}
 	return recs
-}
-
-// WithSubstrate adapts SubstrateConfig to the single-tenant constructor:
-// runtime.New(model, runtime.WithSubstrate(sub), runtime.WithTuning(app))
-// is the one-tenant spelling of NewHost + Deploy.
-func WithSubstrate(cfg SubstrateConfig) Option {
-	return func(rt *Runtime) {
-		if cfg.Clock != nil {
-			rt.clock = cfg.Clock
-		}
-		if cfg.Registry != nil {
-			rt.reg = cfg.Registry
-			rt.ownRegistry = false
-		}
-		if cfg.PersistDir != "" {
-			rt.persistDir = cfg.PersistDir
-			rt.persistOpts = cfg.PersistOpts
-		}
-		if cfg.OnError != nil {
-			rt.onError = cfg.OnError
-		}
-	}
-}
-
-// WithTuning adapts AppConfig to the single-tenant constructor. Handler
-// maps install immediately (the model is already bound); an invalid
-// handler surfaces from Start, like a recovery failure would.
-func WithTuning(cfg AppConfig) Option {
-	return func(rt *Runtime) {
-		rt.ingestCfg = cfg.Ingest
-		if cfg.PollWorkers != 0 {
-			rt.pollWorkers = cfg.PollWorkers
-		}
-		rt.mrCfg = cfg.MapReduce
-		if cfg.BatchAggregation {
-			rt.batchAgg = true
-		}
-		if cfg.OnError != nil {
-			rt.onError = cfg.OnError
-		}
-		for name, ch := range cfg.Contexts {
-			if err := rt.ImplementContext(name, ch); err != nil && rt.initErr == nil {
-				rt.initErr = fmt.Errorf("%v: %w", err, ErrCheckFailed)
-			}
-		}
-		for name, ch := range cfg.Controllers {
-			if err := rt.ImplementController(name, ch); err != nil && rt.initErr == nil {
-				rt.initErr = fmt.Errorf("%v: %w", err, ErrCheckFailed)
-			}
-		}
-		if cfg.AutoImplement {
-			if err := rt.autoImplement(rt.model); err != nil && rt.initErr == nil {
-				rt.initErr = fmt.Errorf("%v: %w", err, ErrCheckFailed)
-			}
-		}
-	}
 }

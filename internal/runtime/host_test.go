@@ -19,7 +19,7 @@ import (
 // White-box tests of the multi-tenant host: typed deploy errors, per-tenant
 // isolation (topics, budgets, stats), hot deploy/undeploy under live
 // traffic, per-app federation routing, per-app persisted aggregate
-// checkpoints, and the WithPollWorkers(0) regression. All run under -race
+// checkpoints, and the PollWorkers = 0 regression. All run under -race
 // in CI.
 
 var hostEpoch = time.Date(2017, 6, 5, 10, 0, 0, 0, time.UTC)
@@ -575,15 +575,15 @@ func (sampleHandler) OnTrigger(call *ContextCall) (any, bool, error) {
 }
 
 // TestWithPollWorkersZeroDefaults is the regression test for
-// WithPollWorkers(0): zero and negative values must fall back to the
+// AppConfig.PollWorkers = 0: zero and negative values must fall back to the
 // default pool instead of configuring a zero-worker pool whose first
 // non-empty round can never complete.
 func TestWithPollWorkersZeroDefaults(t *testing.T) {
 	for _, n := range []int{0, -4} {
 		vc := simclock.NewVirtual(hostEpoch)
-		rt := New(mustLoadDesign(t, pollDesign), WithClock(vc), WithPollWorkers(n))
+		rt := New(mustLoadDesign(t, pollDesign), WithClock(vc), WithTuning(AppConfig{PollWorkers: n}))
 		if rt.pollWorkers != defaultPollWorkers {
-			t.Fatalf("WithPollWorkers(%d): pollWorkers = %d, want default %d", n, rt.pollWorkers, defaultPollWorkers)
+			t.Fatalf("PollWorkers %d: pollWorkers = %d, want default %d", n, rt.pollWorkers, defaultPollWorkers)
 		}
 		if err := rt.ImplementContext("Sampled", sampleHandler{}); err != nil {
 			t.Fatal(err)
@@ -605,9 +605,9 @@ func TestWithPollWorkersZeroDefaults(t *testing.T) {
 		rt.Stop()
 	}
 	// Explicit positive values still win.
-	rt := New(mustLoadDesign(t, pollDesign), WithPollWorkers(3))
+	rt := New(mustLoadDesign(t, pollDesign), WithTuning(AppConfig{PollWorkers: 3}))
 	if rt.pollWorkers != 3 {
-		t.Fatalf("WithPollWorkers(3): pollWorkers = %d", rt.pollWorkers)
+		t.Fatalf("PollWorkers 3: pollWorkers = %d", rt.pollWorkers)
 	}
 	rt.Stop()
 }

@@ -101,23 +101,34 @@ func TestIngestShardCoalescing(t *testing.T) {
 // TestIngestBudgetBackpressure blocks the consumer and checks that the
 // in-flight budget caps admissions, surplus readings are counted as budget
 // drops, and everything admitted is delivered once the consumer resumes.
-// It runs on the boxed ablation pipeline, whose chunked PublishBatch flush
-// holds all admitted units until the gated subscriber drains — the
-// deterministic setup this test's budget assertions rely on. (The typed
-// path releases budget per sealed batch as each publish lands; its exact
-// accounting is covered end-to-end by TestIngestEndToEndDelivery and the
-// storm examples.)
+// Two filler events occupy the gated subscriber's drain goroutine and fill
+// its queue of 1, so the shard's publish of the sealed batch blocks and
+// holds all admitted units until the gate opens.
 func TestIngestBudgetBackpressure(t *testing.T) {
-	rt := New(loadIngestModel(t), WithIngestConfig(IngestConfig{
-		Shards: 1, Budget: 8, MaxBatch: 8, Boxed: true,
-	}))
+	rt := New(loadIngestModel(t), WithTuning(AppConfig{Ingest: IngestConfig{
+		Shards: 1, Budget: 8, MaxBatch: 8,
+	}}))
 	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	var delivered atomic.Int64
-	if _, err := rt.bus.Subscribe("src", func(eventbus.Event) {
+	if _, err := rt.bus.Subscribe("src", func(ev eventbus.Event) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
 		<-gate
-		delivered.Add(1)
+		if b, ok := ev.Payload.(*device.ReadingBatch); ok {
+			delivered.Add(int64(b.Len()))
+		}
 	}, eventbus.WithQueue(1)); err != nil {
 		t.Fatal(err)
+	}
+	if err := rt.bus.Publish("src", "filler", ingestEpoch); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the drain goroutine is parked on the gate
+	if err := rt.bus.Publish("src", "filler", ingestEpoch); err != nil {
+		t.Fatal(err) // fills the queue of 1
 	}
 	ing := rt.newIngestor("src")
 	defer ing.stop()
@@ -150,9 +161,9 @@ func TestIngestBudgetBackpressure(t *testing.T) {
 // deadline at flush time are dropped and counted, fresh ones delivered.
 func TestIngestDeadlineDrops(t *testing.T) {
 	vc := simclock.NewVirtual(ingestEpoch)
-	rt := New(loadIngestModel(t), WithClock(vc), WithIngestConfig(IngestConfig{
+	rt := New(loadIngestModel(t), WithClock(vc), WithTuning(AppConfig{Ingest: IngestConfig{
 		Shards: 1, MaxAge: time.Minute,
-	}))
+	}}))
 	var delivered atomic.Int64
 	if _, err := rt.bus.Subscribe("src", func(eventbus.Event) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)

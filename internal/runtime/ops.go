@@ -12,7 +12,7 @@ import (
 
 // This file is the operations plane of the runtime: the host-side
 // implementations of the `fleet_stats`, `drain` and `set_budget` admin wire
-// ops, plus the single-tenant equivalents. The design splits cleanly:
+// ops. The design splits cleanly:
 // transport defines the wire records, this file fills them from live
 // runtime state, internal/metrics renders them for Prometheus, and
 // `diaspecc top`/`diaspecc host` drive them over TCP.
@@ -151,7 +151,7 @@ func (h *Host) FleetStats() transport.FleetStats {
 	st := h.Stats()
 	appRecs := make(map[string]map[string]uint64, len(st.Apps))
 	for id, s := range st.Apps {
-		appRecs[id] = s.Counters()
+		appRecs[scopeName(id)] = s.Counters()
 	}
 	fs := transport.FleetStats{
 		Host:     transport.AppStatsRecord{App: "host", Counters: hostCounters(st)},
@@ -175,12 +175,21 @@ func (h *Host) FleetStats() transport.FleetStats {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		fs.Budgets = append(fs.Budgets, apps[id].budgetRecord(id))
+		fs.Budgets = append(fs.Budgets, apps[id].budgetRecord(scopeName(id)))
 	}
 	if peerFn != nil {
 		fs.Peers = peerFn()
 	}
 	return fs
+}
+
+// scopeName is an app's record name in fleet_stats: the single app of a
+// runtime.New host has the empty ID and reports as "default".
+func scopeName(appID string) string {
+	if appID == "" {
+		return "default"
+	}
+	return appID
 }
 
 // AddPeerSource registers the callback that supplies per-peer link health
@@ -237,9 +246,8 @@ func (h *Host) Drain() (transport.DrainReport, error) {
 	}
 	if rep.Clean {
 		// The budgets released, so every admitted reading has been handed
-		// to the bus; let in-flight bus batches settle before snapshotting
-		// (two consecutive stable observations of the delivery counters).
-		h.settleBus(deadline)
+		// to the bus; let the queued deliveries finish before snapshotting.
+		rep.Clean = h.settleBus(deadline)
 	}
 	if h.store != nil {
 		if err := h.store.Snapshot(); err != nil {
@@ -260,20 +268,18 @@ func (h *Host) Drain() (transport.DrainReport, error) {
 	return rep, nil
 }
 
-// settleBus waits until the shared bus's delivery counters hold still for
-// two consecutive observations (or the deadline passes) — the cheap proxy
-// for "published batches have reached their subscribers" that keeps the
-// final drain snapshot's aggregate checkpoints current.
-func (h *Host) settleBus(deadline time.Time) {
-	prev := h.bus.Stats()
-	for time.Now().Before(deadline) {
-		time.Sleep(drainPollInterval)
-		cur := h.bus.Stats()
-		if cur == prev {
-			return
+// settleBus waits until no event is queued on the shared bus or inside a
+// handler, and reports false if the deadline passed first. Once settled,
+// every admitted reading has been handled and the final drain snapshot's
+// aggregate checkpoints are current.
+func (h *Host) settleBus(deadline time.Time) bool {
+	for h.bus.Pending() > 0 {
+		if time.Now().After(deadline) {
+			return false
 		}
-		prev = cur
+		time.Sleep(drainPollInterval)
 	}
+	return true
 }
 
 // Draining reports whether a drain has been requested on this host.
@@ -292,59 +298,12 @@ func (h *Host) SetAppBudget(appID string, capacity int) error {
 	return nil
 }
 
-// FleetStats assembles the single-tenant equivalent of Host.FleetStats: the
-// runtime's own counters under its app scope (or "default"), its bus as the
-// substrate record, its registry summary and its budget occupancy — so the
-// metrics exporter and `diaspecc top` see the same shape whether they watch
-// one app or a thousand.
-func (rt *Runtime) FleetStats() transport.FleetStats {
-	scope := rt.appID
-	if scope == "" {
-		scope = "default"
-	}
-	bus := rt.BusStats()
-	st := HostStats{Bus: bus, Errors: rt.stats.errors.Load()}
-	return transport.FleetStats{
-		Host:     transport.AppStatsRecord{App: "host", Counters: hostCounters(st)},
-		Apps:     []transport.AppStatsRecord{{App: scope, Counters: rt.Stats().Counters()}},
-		Registry: registrySummary(rt.reg),
-		Budgets:  []transport.BudgetRecord{rt.budgetRecord(scope)},
-		Draining: rt.drainingFlag.Load(),
-	}
-}
+// FleetStats is Host.FleetStats of the app's host. The single app of a
+// runtime.New host reports under scope "default".
+func (rt *Runtime) FleetStats() transport.FleetStats { return rt.host.FleetStats() }
 
-// Drain is the single-tenant form of Host.Drain: close admission, flush the
-// ingestion pipelines, snapshot if persistence is attached.
-func (rt *Runtime) Drain() (transport.DrainReport, error) {
-	start := time.Now()
-	rt.drainingFlag.Store(true)
-	refusedBefore := rt.drainDrops()
-	rep := transport.DrainReport{Apps: 1, InFlightAtStart: rt.beginDrain()}
-	deadline := start.Add(defaultDrainTimeout)
-	for {
-		if rt.ingestQuiesced() {
-			rep.Clean = true
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(drainPollInterval)
-	}
-	if rt.store != nil {
-		if err := rt.store.Snapshot(); err != nil {
-			if err != persist.ErrClosed && err != persist.ErrCrashed {
-				rep.DurationMillis = time.Since(start).Milliseconds()
-				return rep, fmt.Errorf("runtime: drain snapshot: %w", err)
-			}
-		} else {
-			rep.Snapshotted = true
-		}
-	}
-	rep.RefusedDuringDrain = rt.drainDrops() - refusedBefore
-	rep.DurationMillis = time.Since(start).Milliseconds()
-	return rep, nil
-}
+// Drain is Host.Drain of the app's host.
+func (rt *Runtime) Drain() (transport.DrainReport, error) { return rt.host.Drain() }
 
 // FleetStats implements the fleet_stats admin op.
 func (a hostAdmin) FleetStats() transport.FleetStats { return a.h.FleetStats() }

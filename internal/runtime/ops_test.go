@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/simclock"
 )
@@ -191,6 +192,47 @@ func TestHostDrainUnderLoad(t *testing.T) {
 	}
 	if !h.FleetStats().Draining {
 		t.Fatal("fleet_stats does not report draining")
+	}
+}
+
+// slowHandler models a consumer slower than the drain's poll interval.
+type slowHandler struct{ n atomic.Uint64 }
+
+func (h *slowHandler) OnTrigger(*ContextCall) (any, bool, error) {
+	time.Sleep(10 * time.Millisecond)
+	h.n.Add(1)
+	return nil, false, nil
+}
+
+// TestHostDrainSettlesQueuedDeliveries queues one-reading batches behind a
+// handler that takes 10 ms each: the ingestion budgets release as soon as
+// each batch is on the bus, so a drain is only exact if it also waits for
+// the queued deliveries. Every admitted reading must be handled when Drain
+// returns.
+func TestHostDrainSettlesQueuedDeliveries(t *testing.T) {
+	vc := simclock.NewVirtual(hostEpoch)
+	h, err := NewHost(SubstrateConfig{Clock: vc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	hd := &slowHandler{}
+	rt := deployTenant(t, h, "a", AppConfig{
+		Contexts: map[string]ContextHandler{"Occ_a": hd},
+		Ingest:   IngestConfig{Shards: 1, MaxBatch: 1},
+	})
+	d := bindTenantSensor(t, h, "a", "a-000", vc)
+	waitAttached(t, rt, 1)
+	const n = 20
+	for i := 0; i < n; i++ {
+		d.Emit("presence", true)
+	}
+	rep, err := h.Drain()
+	if err != nil || !rep.Clean {
+		t.Fatalf("drain: %+v, %v", rep, err)
+	}
+	if got, admitted := hd.n.Load(), rt.Stats().IngestEvents; got != admitted || admitted != n {
+		t.Fatalf("drain returned with %d of %d admitted readings handled (emitted %d)", got, admitted, n)
 	}
 }
 

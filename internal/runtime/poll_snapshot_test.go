@@ -143,7 +143,7 @@ func TestPollSnapshotRemoteFleetAndLeaseExpiry(t *testing.T) {
 		}
 	}
 
-	rt := runtime.New(dsl.MustLoad(snapDesign), runtime.WithClock(vc), runtime.WithRegistry(reg))
+	rt := runtime.New(dsl.MustLoad(snapDesign), runtime.WithSubstrate(runtime.SubstrateConfig{Clock: vc, Registry: reg}))
 	defer rt.Stop()
 	if err := rt.ImplementContext("C", funcContext(func(call *runtime.ContextCall) (any, bool, error) {
 		return len(call.Readings), true, nil

@@ -34,8 +34,6 @@ import (
 	"repro/internal/dsl/check"
 	"repro/internal/eventbus"
 	"repro/internal/mapreduce"
-	"repro/internal/metrics"
-	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/simclock"
 	"repro/internal/transport"
@@ -118,7 +116,7 @@ type Stats struct {
 	// IngestEvents counts readings the event-ingestion pipeline published
 	// into device-source topics.
 	IngestEvents uint64
-	// IngestBatches counts PublishBatch flushes of the ingestion pipeline;
+	// IngestBatches counts reading batches the ingestion pipeline published;
 	// IngestEvents/IngestBatches is the achieved coalescing factor.
 	IngestBatches uint64
 	// IngestBudgetDrops counts readings refused because the interaction's
@@ -280,12 +278,13 @@ func (c *statCounters) snapshot() Stats {
 	}
 }
 
-// Runtime hosts one application built from a checked design. A Runtime is
-// either single-tenant (runtime.New: it owns its bus, registry, device table
-// and store) or one app of a multi-tenant Host (Host.Deploy: the substrate
-// is shared and host-owned, topics are namespaced per app, and Stop releases
-// only this app's subscriptions and pipelines).
+// Runtime hosts one application built from a checked design on a Host's
+// substrate: the shared registry, bus, device table and store. Host.Deploy
+// attaches an app under its own ID (topics namespaced per app, and Stop
+// releases only this app's subscriptions and pipelines); runtime.New builds
+// a Host of its own and attaches the design as its only app.
 type Runtime struct {
+	host        *Host
 	model       *check.Model
 	reg         *registry.Registry
 	bus         *eventbus.Bus
@@ -296,27 +295,17 @@ type Runtime struct {
 	pollWorkers int
 	batchAgg    bool
 
-	// Tenancy. appID is "" for a single-tenant runtime; topicPrefix
-	// namespaces every bus topic of a hosted app ("app/<id>/") so N apps
-	// share one bus without topic collisions. The own* flags record which
-	// substrate pieces Stop may tear down.
+	// Tenancy. appID is "" for the single app of a runtime.New host;
+	// topicPrefix namespaces every bus topic of a deployed app
+	// ("app/<id>/") so N apps share one bus without topic collisions.
 	appID       string
 	topicPrefix string
-	ownBus      bool
-	ownStore    bool
 
-	onError     func(ComponentError)
-	ownRegistry bool
+	onError func(ComponentError)
 
-	// Durability (see persist.go). store/persistErr are written in New (or
-	// by Host.Deploy) and read-only afterwards; aggRestore is consumed at
-	// wiring time in Start.
-	store       *persist.Store
-	persistDir  string
-	persistOpts persist.Options
-	persistErr  error
-	initErr     error // deferred Option-time failure, surfaced by Start
-	aggRestore  map[string][]byte
+	// err is a substrate or handler-install failure found before Start,
+	// which reports it (a functional Option cannot return one).
+	err error
 
 	mu          sync.Mutex
 	started     bool
@@ -330,7 +319,6 @@ type Runtime struct {
 	ingestors   []*ingestor
 	ingestByKey map[string][]*ingestor // kind+source -> consuming pipelines
 	aggByKey    map[string][]*provAgg  // kind+source -> provided-grouped aggregates
-	janitorOn   bool
 	watchers    []*registry.Watcher
 	lastValues  map[string]any // last published value per context
 	wg          sync.WaitGroup
@@ -339,13 +327,6 @@ type Runtime struct {
 	// rebuilt copy-on-write by Implement* so per-event dispatch loads it
 	// atomically instead of taking mu.
 	handlers atomic.Pointer[handlerTables]
-
-	// Operations plane (see ops.go): drainingFlag closes event admission,
-	// metricsAddr/metricsSrv are the opt-in Prometheus endpoint of a
-	// single-tenant runtime (a hosted app shares its Host's endpoint).
-	drainingFlag atomic.Bool
-	metricsAddr  string
-	metricsSrv   *metrics.Server
 
 	stats statCounters // lock-free; not guarded by mu
 }
@@ -382,160 +363,62 @@ func (rt *Runtime) controllerHandler(name string) ControllerHandler {
 	return rt.handlers.Load().controllers[name]
 }
 
-// Option configures a single-tenant Runtime.
-//
-// Deprecated naming note: the flat Option pile predates the multi-tenant
-// Host API, which splits configuration into SubstrateConfig (shared
-// infrastructure: clock, registry, persistence, error sink) and AppConfig
-// (per-app tunables: handlers, ingestion, poll workers, MapReduce). New code
-// should prefer NewHost + Deploy with those structs — or WithSubstrate /
-// WithTuning, which adapt them to this constructor. Each individual Option
-// below is retained as a back-compat alias for single-tenant runtimes.
-type Option func(*Runtime)
+// Option configures runtime.New: each one writes into the substrate and
+// app configuration that New hands to its Host (NewHost) and to the app it
+// attaches (see Host.Deploy).
+type Option func(*SubstrateConfig, *AppConfig)
 
-// WithClock sets the time source (virtual clocks make periodic designs
-// deterministic). Default: real time.
-//
-// Deprecated: set SubstrateConfig.Clock (via NewHost or WithSubstrate).
+// WithSubstrate sets the substrate configuration: clock, registry,
+// persistence, metrics endpoint and error sink.
+func WithSubstrate(cfg SubstrateConfig) Option {
+	return func(s *SubstrateConfig, _ *AppConfig) { *s = cfg }
+}
+
+// WithTuning sets the app configuration: handlers, ingestion, poll
+// workers, MapReduce and error sink. runtime.New(model, WithSubstrate(sub),
+// WithTuning(app)) is the one-app spelling of NewHost + Deploy.
+func WithTuning(cfg AppConfig) Option {
+	return func(_ *SubstrateConfig, a *AppConfig) { *a = cfg }
+}
+
+// WithClock sets SubstrateConfig.Clock, the time source (virtual clocks
+// make periodic designs deterministic). Default: real time.
 func WithClock(c simclock.Clock) Option {
-	return func(rt *Runtime) { rt.clock = c }
-}
-
-// WithRegistry shares an externally owned registry (e.g. one populated by a
-// separate deployment process). By default the runtime creates and owns one.
-//
-// Deprecated: set SubstrateConfig.Registry (via NewHost or WithSubstrate).
-func WithRegistry(r *registry.Registry) Option {
-	return func(rt *Runtime) { rt.reg = r; rt.ownRegistry = false }
-}
-
-// WithMapReduceConfig tunes the processing engine used for
-// `with map … reduce …` interactions.
-//
-// Deprecated: set AppConfig.MapReduce (via Host.Deploy or WithTuning).
-func WithMapReduceConfig(cfg mapreduce.Config) Option {
-	return func(rt *Runtime) { rt.mrCfg = cfg }
-}
-
-// WithErrorHandler installs a callback invoked on every component error.
-// Errors are always counted in Stats regardless.
-//
-// Deprecated: set SubstrateConfig.OnError or AppConfig.OnError.
-func WithErrorHandler(f func(ComponentError)) Option {
-	return func(rt *Runtime) { rt.onError = f }
-}
-
-// WithIngestConfig tunes the event-driven ingestion pipeline behind
-// `when provided` device sources (shard count, batch size, in-flight budget
-// and deadline). The zero value of every field selects its default.
-//
-// Deprecated: set AppConfig.Ingest (via Host.Deploy or WithTuning).
-func WithIngestConfig(cfg IngestConfig) Option {
-	return func(rt *Runtime) { rt.ingestCfg = cfg }
+	return func(s *SubstrateConfig, _ *AppConfig) { s.Clock = c }
 }
 
 // defaultPollWorkers is the per-poller query pool bound when none (or a
 // non-positive one) is configured.
 const defaultPollWorkers = 32
 
-// WithPollWorkers bounds the per-poller query pool of `when periodic`
-// interactions: up to n goroutines issue device queries concurrently per
-// poller (the pool still grows lazily with the fleet, so small fleets park
-// no idle workers). Zero or negative falls back to the default (32) — a
-// zero-worker pool could never complete a round.
-//
-// Deprecated: set AppConfig.PollWorkers (via Host.Deploy or WithTuning).
-func WithPollWorkers(n int) Option {
-	return func(rt *Runtime) { rt.pollWorkers = n }
-}
-
-// WithBatchAggregation makes grouped periodic interactions re-run the full
-// batch MapReduce every round instead of maintaining state in the
-// incremental engine — the pre-incremental behavior, kept as the ablation
-// baseline and correctness oracle (examples/aggstorm cross-checks the two).
-//
-// Deprecated: set AppConfig.BatchAggregation (via Host.Deploy or
-// WithTuning).
-func WithBatchAggregation() Option {
-	return func(rt *Runtime) { rt.batchAgg = true }
-}
-
-// WithMetricsAddr opts a single-tenant runtime into the Prometheus scrape
-// endpoint: Start listens on addr (use "127.0.0.1:0" for an ephemeral port)
-// and serves /metrics rendered from FleetStats. Hosted apps share their
-// Host's endpoint (SubstrateConfig.MetricsAddr) instead.
-func WithMetricsAddr(addr string) Option {
-	return func(rt *Runtime) { rt.metricsAddr = addr }
-}
-
-// MetricsAddr reports the live metrics listener address ("" when the
-// endpoint was not enabled or the runtime has not started).
-func (rt *Runtime) MetricsAddr() string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.metricsSrv == nil {
-		return ""
-	}
-	return rt.metricsSrv.Addr()
-}
-
-// newAppRuntime allocates the per-app state every Runtime needs, tenancy
-// aside. Both constructors — single-tenant New and Host.Deploy — build on
-// it.
-func newAppRuntime(model *check.Model) *Runtime {
-	rt := &Runtime{
-		model:       model,
-		clock:       simclock.Real{},
-		contexts:    make(map[string]ContextHandler),
-		controllers: make(map[string]ControllerHandler),
-		clients:     make(map[string]*transport.Client),
-		ingestByKey: make(map[string][]*ingestor),
-		aggByKey:    make(map[string][]*provAgg),
-		lastValues:  make(map[string]any),
-		pollWorkers: defaultPollWorkers,
-	}
-	rt.handlers.Store(&handlerTables{
-		contexts:    map[string]ContextHandler{},
-		controllers: map[string]ControllerHandler{},
-	})
-	return rt
-}
-
-// normalize applies the cross-constructor defaults after configuration.
-func (rt *Runtime) normalize() {
-	if rt.pollWorkers <= 0 {
-		// A zero-worker pool would hang the first non-empty round (no
-		// worker ever closes it); fall back to the default instead.
-		rt.pollWorkers = defaultPollWorkers
-	}
-	if rt.mrCfg.KeyHash == nil {
-		// Group keys are rendered attribute values, i.e. strings; skip
-		// the reflective default hash on the periodic hot path.
-		rt.mrCfg.KeyHash = mapreduce.StringKeyHash
-	}
-}
+// MetricsAddr reports the bound address of the host's Prometheus endpoint
+// ("" when SubstrateConfig.MetricsAddr was not set).
+func (rt *Runtime) MetricsAddr() string { return rt.host.MetricsAddr() }
 
 // New creates a single-tenant Runtime for the given checked design model: a
-// thin one-tenant configuration of the same machinery Host runs N apps on,
-// kept API-compatible. The runtime owns its bus, device table, registry
-// (unless WithRegistry) and store (if WithPersistence).
+// Host of its own (NewHost) with the design attached as its only app, under
+// the empty app ID, so its topics and snapshot keys keep their unprefixed
+// form. Start wires the app; Stop tears it down and closes the host. A
+// substrate failure (e.g. persistence recovery) or an invalid handler in
+// AppConfig is reported by Start.
 func New(model *check.Model, opts ...Option) *Runtime {
-	rt := newAppRuntime(model)
-	rt.ownRegistry = true
-	rt.ownBus = true
-	rt.ownStore = true
-	rt.fleet = newDeviceTable()
+	var sub SubstrateConfig
+	var app AppConfig
 	for _, o := range opts {
-		o(rt)
+		o(&sub, &app)
 	}
-	if rt.reg == nil {
-		rt.reg = registry.New(registry.WithClock(rt.clock))
+	h, hostErr := NewHost(sub)
+	if hostErr != nil {
+		// Keep a usable handle on a bare substrate; Start reports hostErr.
+		h, _ = NewHost(SubstrateConfig{Clock: sub.Clock, Registry: sub.Registry, OnError: sub.OnError})
 	}
-	rt.normalize()
-	rt.bus = eventbus.New()
-	if rt.persistDir != "" {
-		rt.openPersistence()
+	rt, _ := h.attach("", model, app) // a fresh host has every slot free
+	if hostErr != nil {
+		rt.err = hostErr
 	}
+	h.mu.Lock()
+	h.apps[""] = rt
+	h.mu.Unlock()
 	return rt
 }
 
@@ -564,127 +447,24 @@ func WithLease(ttl time.Duration) BindOption {
 	return func(c *bindConfig) { c.ttl = ttl }
 }
 
-// BindDevice binds a local driver: validates it against the design's device
-// taxonomy and registers it for discovery. Binding may happen before or
-// after Start (the paper's runtime binding).
+// BindDevice binds a local driver into the host's fleet, validated against
+// this app's device taxonomy. Binding may happen before or after Start (the
+// paper's runtime binding).
 func (rt *Runtime) BindDevice(drv device.Driver, opts ...BindOption) error {
 	decl, ok := rt.model.Devices[drv.Kind()]
 	if !ok {
 		return fmt.Errorf("runtime: device kind %s not declared in the design", drv.Kind())
 	}
-	for name := range drv.Attributes() {
-		if _, ok := decl.Attributes[name]; !ok {
-			return fmt.Errorf("runtime: device %s has undeclared attribute %s", drv.ID(), name)
-		}
-	}
-	var cfg bindConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.ttl > 0 {
-		if err := rt.ensureLeaseJanitor(); err != nil {
-			return fmt.Errorf("runtime: bind device %s: %w", drv.ID(), err)
-		}
-	}
-	// The driver is installed before Register so that watchers reacting to
-	// the Added notification resolve it locally — but rolled back if the
-	// registration fails, so a failed re-bind never leaves the device table
-	// disagreeing with the registry (poll snapshots cache resolved drivers
-	// and rebuild only on registry change).
-	prev, had := rt.fleet.install(drv)
-	entity := registry.Entity{
-		ID:    registry.ID(drv.ID()),
-		Kind:  drv.Kind(),
-		Kinds: decl.Kinds(),
-		Attrs: drv.Attributes(),
-		Bound: registry.BindRuntime,
-	}
-	var ropts []registry.RegisterOption
-	if cfg.ttl > 0 {
-		ropts = append(ropts, registry.WithTTL(cfg.ttl))
-	}
-	register := rt.reg.Register
-	if rt.store != nil {
-		// A reborn node re-binds drivers for registrations recovered from
-		// disk: Reclaim re-attaches without a duplicate error — and without
-		// bumping generations when the content is unchanged, so federation
-		// peers see no delta from a clean restart.
-		register = rt.reg.Reclaim
-	}
-	if err := register(entity, ropts...); err != nil {
-		rt.fleet.rollback(drv.ID(), prev, had)
-		return fmt.Errorf("runtime: bind device %s: %w", drv.ID(), err)
-	}
-	// Re-assert the driver entry now that the entity is registered: the
-	// lease janitor reaps entries whose ID is absent from the registry, so
-	// a reap that raced the window between the optimistic install above
-	// and Register must not win (reapExpired checks the registry under the
-	// same lock hold, making this store the tiebreaker).
-	rt.fleet.reassert(drv)
-	return nil
-}
-
-// ensureLeaseJanitor lazily starts the watcher that reaps device-table
-// entries of expired leased bindings, so a device that stops renewing
-// releases its driver slot like an explicit UnbindDevice would. Started on
-// the first leased bind only: lease-free populations keep their watcher-free
-// register fast path.
-func (rt *Runtime) ensureLeaseJanitor() error {
-	rt.mu.Lock()
-	if rt.janitorOn || rt.stopped {
-		rt.mu.Unlock()
-		return nil
-	}
-	rt.janitorOn = true
-	rt.mu.Unlock()
-	w, err := rt.reg.Watch(registry.Query{}, trackerWatchBuf)
-	if err != nil {
-		rt.mu.Lock()
-		rt.janitorOn = false
-		rt.mu.Unlock()
-		return err
-	}
-	rt.mu.Lock()
-	rt.watchers = append(rt.watchers, w)
-	rt.mu.Unlock()
-	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
-		var lastMissed uint64
-		for c := range w.C() {
-			if c.Type == registry.Expired {
-				rt.fleet.reapExpired(string(c.Entity.ID), rt.reg)
-			}
-			// The janitor watches every registry change, so a churn or
-			// bind storm can overflow its channel; like the source
-			// trackers, repair by re-checking every driver entry
-			// against the registry.
-			if m := w.Missed(); m != lastMissed {
-				lastMissed = m
-				for _, id := range rt.fleet.ids() {
-					rt.fleet.reapExpired(id, rt.reg)
-				}
-			}
-		}
-	}()
-	return nil
+	return rt.host.bind(decl, drv, opts)
 }
 
 // LocalDriver returns the locally bound driver for id, if any. The
 // federation tier uses it to host exported devices on the node's transport
 // server without re-resolving through the registry.
-func (rt *Runtime) LocalDriver(id string) (device.Driver, bool) {
-	return rt.fleet.get(id)
-}
+func (rt *Runtime) LocalDriver(id string) (device.Driver, bool) { return rt.host.LocalDriver(id) }
 
-// UnbindDevice removes a device from the registry and the runtime. The
-// registry entry goes first so no snapshot rebuild can observe a registered
-// entity whose local driver is already gone.
-func (rt *Runtime) UnbindDevice(id string) error {
-	err := rt.reg.Unregister(registry.ID(id))
-	rt.fleet.remove(id)
-	return err
-}
+// UnbindDevice removes a device from the registry and the host's fleet.
+func (rt *Runtime) UnbindDevice(id string) error { return rt.host.UnbindDevice(id) }
 
 // ImplementContext installs the implementation of a declared context.
 func (rt *Runtime) ImplementContext(name string, h ContextHandler) error {
@@ -735,11 +515,8 @@ func needsMapReduce(ctx *check.Context) bool {
 // subscriptions (current and future, via registry watches) for device
 // sources, and pollers for periodic interactions.
 func (rt *Runtime) Start() error {
-	if rt.persistErr != nil {
-		return rt.persistErr
-	}
-	if rt.initErr != nil {
-		return rt.initErr
+	if rt.err != nil {
+		return rt.err
 	}
 	rt.mu.Lock()
 	if rt.started {
@@ -760,16 +537,6 @@ func (rt *Runtime) Start() error {
 	}
 	rt.started = true
 	rt.mu.Unlock()
-
-	if rt.metricsAddr != "" {
-		srv, err := metrics.NewServer(rt.metricsAddr, rt.FleetStats)
-		if err != nil {
-			return err
-		}
-		rt.mu.Lock()
-		rt.metricsSrv = srv
-		rt.mu.Unlock()
-	}
 
 	for _, name := range rt.model.ContextNames() {
 		ctx := rt.model.Contexts[name]
@@ -798,19 +565,25 @@ func (rt *Runtime) Start() error {
 }
 
 // Stop tears down pollers, subscriptions and transports. It is idempotent.
-// A single-tenant runtime also closes its bus, store and registry; a hosted
-// app releases only its own bus subscriptions and pipelines — the shared
-// substrate stays live for the other tenants (Undeploy calls Stop, and the
-// Host seals the substrate in Close).
+// The single app of a runtime.New host then closes the host (bus, store
+// with its final snapshot, owned registry) — also when it never started. A
+// deployed app releases only its own subscriptions and pipelines: the
+// shared substrate stays live for the other tenants.
 func (rt *Runtime) Stop() {
+	if rt.appID == "" {
+		rt.host.Close() // stops this app first
+		return
+	}
+	rt.stopApp()
+}
+
+// stopApp releases this app's pollers, pipelines, watchers, bus
+// subscriptions and transports, leaving the substrate to the host.
+func (rt *Runtime) stopApp() {
 	rt.mu.Lock()
 	if rt.stopped || !rt.started {
-		sealStore := !rt.stopped && rt.ownStore
 		rt.stopped = true
 		rt.mu.Unlock()
-		if sealStore {
-			rt.closePersistence()
-		}
 		return
 	}
 	rt.stopped = true
@@ -822,17 +595,11 @@ func (rt *Runtime) Stop() {
 	subs := rt.subs
 	rt.pollers, rt.trackers, rt.ingestors, rt.watchers, rt.subs = nil, nil, nil, nil, nil
 	rt.ingestByKey = make(map[string][]*ingestor)
-	// aggByKey is deliberately kept: the store's final snapshot (sealed
-	// below for single-tenant runtimes, by Host.Close for hosted apps)
-	// captures each engine's checkpoint from it after the pipelines drain.
+	// aggByKey is deliberately kept: the store's final snapshot (sealed by
+	// Host.Close) captures each engine's checkpoint from it after the
+	// pipelines drain.
 	rt.clients = make(map[string]*transport.Client)
-	msrv := rt.metricsSrv
-	rt.metricsSrv = nil
 	rt.mu.Unlock()
-
-	if msrv != nil {
-		_ = msrv.Close()
-	}
 
 	// Watcher cancellation closes each tracker's loop, which releases its
 	// device attachments (stopAll); trackers that somehow never entered
@@ -850,29 +617,15 @@ func (rt *Runtime) Stop() {
 		ing.stop()
 	}
 	rt.wg.Wait()
-	if rt.ownBus {
-		rt.bus.Close()
-	} else {
-		// Hosted app on a shared bus: cancel this app's subscriptions only.
-		// Cancellation drains each subscription's queue first, so events the
-		// app's pipelines handed to the bus before wg drained (ingest shards
-		// flush on stop) are still delivered and counted — hot undeploy
-		// keeps delivered+dropped accounting exact.
-		for _, s := range subs {
-			s.Cancel()
-		}
+	// Cancellation drains each subscription's queue first, so events the
+	// app's pipelines handed to the bus before wg drained (ingest shards
+	// flush on stop) are still delivered and counted — hot undeploy keeps
+	// delivered+dropped accounting exact.
+	for _, s := range subs {
+		s.Cancel()
 	}
 	for _, c := range clients {
 		c.Close()
-	}
-	// The store's final snapshot captures the registry, so it must be sealed
-	// before the registry closes (after Crash this writes nothing). Hosted
-	// apps skip both: store and registry belong to the Host.
-	if rt.ownStore {
-		rt.closePersistence()
-	}
-	if rt.ownRegistry {
-		rt.reg.Close()
 	}
 }
 
@@ -912,7 +665,7 @@ func (rt *Runtime) LastPublished(contextName string) (any, bool) {
 }
 
 // ReportError feeds an external subsystem's failure into the runtime's
-// error accounting (Stats.Errors plus the WithErrorHandler callback), so
+// error accounting (Stats.Errors plus the OnError callback), so
 // faults from cooperating tiers — e.g. federation sync — surface through
 // the same channel as component errors.
 func (rt *Runtime) ReportError(component string, err error) {

@@ -783,11 +783,11 @@ context C as Integer { when provided s from D always publish; }
 	var reported []runtime.ComponentError
 	var mu sync.Mutex
 	rt := runtime.New(model, runtime.WithClock(vc),
-		runtime.WithErrorHandler(func(ce runtime.ComponentError) {
+		runtime.WithTuning(runtime.AppConfig{OnError: func(ce runtime.ComponentError) {
 			mu.Lock()
 			reported = append(reported, ce)
 			mu.Unlock()
-		}))
+		}}))
 	defer rt.Stop()
 	d := device.NewBase("d1", "D", nil, nil, vc.Now)
 	if err := rt.BindDevice(d); err != nil {
@@ -908,7 +908,7 @@ func TestRemoteDeviceViaSharedRegistry(t *testing.T) {
 	}
 
 	model := dsl.MustLoad(designs.Cooker)
-	rt := runtime.New(model, runtime.WithClock(vc), runtime.WithRegistry(reg))
+	rt := runtime.New(model, runtime.WithSubstrate(runtime.SubstrateConfig{Clock: vc, Registry: reg}))
 	defer rt.Stop()
 
 	clockDev := device.NewBase("clock-1", "Clock", nil, nil, vc.Now)
@@ -985,7 +985,7 @@ controller K { when provided C do flash on Lamp; }
 `)
 	vc := simclock.NewVirtual(epoch)
 	rt := runtime.New(model, runtime.WithClock(vc),
-		runtime.WithMapReduceConfig(mapreduce.Config{Workers: 2}))
+		runtime.WithTuning(runtime.AppConfig{MapReduce: mapreduce.Config{Workers: 2}}))
 	defer rt.Stop()
 	if rt.Model() != model {
 		t.Fatal("Model() wrong")

@@ -36,7 +36,7 @@ func TestStopClosesRemoteClients(t *testing.T) {
 device S { source v as Integer; }
 context C as Integer { when periodic v from S <1 min> always publish; }
 `)
-	rt := runtime.New(model, runtime.WithClock(vc), runtime.WithRegistry(reg))
+	rt := runtime.New(model, runtime.WithSubstrate(runtime.SubstrateConfig{Clock: vc, Registry: reg}))
 	if err := rt.ImplementContext("C", funcContext(func(call *runtime.ContextCall) (any, bool, error) {
 		return len(call.Readings), true, nil
 	})); err != nil {

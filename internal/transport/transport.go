@@ -185,9 +185,10 @@ type DrainReport struct {
 	// Snapshotted reports whether a final durability snapshot was written
 	// (always false for a host without persistence).
 	Snapshotted bool
-	// Clean reports whether every ingestion pipeline quiesced before the
-	// drain deadline; false means the report was returned on timeout with
-	// readings possibly still in flight.
+	// Clean reports whether every ingestion pipeline quiesced and every
+	// queued bus delivery was handled before the drain deadline; false
+	// means the report was returned on timeout with readings possibly
+	// still in flight.
 	Clean bool
 	// DurationMillis is the wall-clock drain time in milliseconds.
 	DurationMillis int64
